@@ -4,12 +4,17 @@
 // chains) are pinned to hexfloat-exact virtual-time fingerprints recorded
 // before KeySchema existed, so any per-schema dispatch leaking into the
 // narrow kernels (an extra instruction, a changed profile constant, a
-// different RNG draw) fails loudly; and (2) every wide schema (U64,
+// different RNG draw) fails loudly; (2) the kernel variants those eight do
+// not reach — U64 keys, separate per-device tables, divergence grouping and
+// fused select->join->group-by on the open layout, each per algorithm — are
+// pinned the same way to fingerprints recorded before the SHJ/PHJ kernels
+// were merged into one template family; and (3) every wide schema (U64,
 // Composite, DictString) reproduces the reference oracle's exact match
 // count across both algorithms and both hash-table layouts.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <utility>
@@ -50,6 +55,12 @@ JoinSpec MakeSpec(Algorithm algo, HashLayout layout) {
   return spec;
 }
 
+std::string AlgoLayoutName(const std::string& prefix, Algorithm algo,
+                           HashLayout layout) {
+  return prefix + (algo == Algorithm::kSHJ ? "/shj" : "/phj") +
+         (layout == HashLayout::kChained ? "/chained" : "/open");
+}
+
 JoinReport MustRun(const PlanSpec& plan) {
   simcl::SimContext ctx;
   auto report = ExecutePlan(&ctx, plan);
@@ -68,9 +79,10 @@ struct Pin {
   uint64_t matches;
 };
 
-// Recorded from the pre-KeySchema lowering (PR 9) at these exact
-// workloads/specs. Hexfloats round-trip exactly through strtod, so the
-// comparison below is equality of the doubles' bit patterns.
+// Recorded at these exact workloads/specs: the first eight from the
+// pre-KeySchema lowering, the rest from the per-engine kernels that predate
+// the shared hash-join kernel family. Hexfloats round-trip exactly through
+// strtod, so the comparison below is equality of the doubles' bit patterns.
 constexpr Pin kPins[] = {
     {"join/shj/chained", "0x1.5945ee43d5148p+18", "0x1.42b31b512442p+18",
      16384ull},
@@ -88,6 +100,40 @@ constexpr Pin kPins[] = {
      16384ull},
     {"multiway/open", "0x1.00902d7ba8e78p+18", "0x1.974d055928c6bp+17",
      16384ull},
+    {"u64/shj/chained", "0x1.3fc65d4966908p+18", "0x1.2fcf69afc2aacp+18",
+     8181ull},
+    {"u64/shj/open", "0x1.c9824ff6320a2p+17", "0x1.c39d9f47dd58p+17",
+     8181ull},
+    {"u64/phj/chained", "0x1.a1ea31e683104p+18", "0x1.79252191fd702p+18",
+     8181ull},
+    {"u64/phj/open", "0x1.46e4fc983584cp+18", "0x1.2b24878629716p+18",
+     8181ull},
+    {"separate/shj/chained", "0x1.e06c5787b95f8p+18",
+     "0x1.c1c5f4eabddbap+18", 16384ull},
+    // Known defect, pinned as-is so a restructuring cannot move it: under
+    // the pipelined scheme b3 and b4 of one tuple may run on different
+    // devices, and an open-layout slot id is only meaningful in the table
+    // that issued it, so some rids land on the wrong separate table's slot
+    // (16004 of 16384 matches). The chained layout's key nodes are global
+    // pool indices and do not have the problem.
+    {"separate/shj/open", "0x1.8c6675b16fcf4p+18", "0x1.736795d9c02c2p+18",
+     16004ull},
+    {"separate/phj/chained", "0x1.1e2471f1b523ep+19",
+     "0x1.01ef336ed3929p+19", 16384ull},
+    {"separate/phj/open", "0x1.e843020d20b7ap+18", "0x1.b58007cca975bp+18",
+     16004ull},
+    {"grouping/shj/chained", "0x1.66bf31a225ec1p+18", "0x1.42b31b512442p+18",
+     16384ull},
+    {"grouping/shj/open", "0x1.1131f51a56dffp+18", "0x1.df07454d19f1ep+17",
+     16384ull},
+    {"grouping/phj/chained", "0x1.c29bbdfdd6d47p+18", "0x1.84cb8d440d8b8p+18",
+     16384ull},
+    {"grouping/phj/open", "0x1.6d0e817607c85p+18", "0x1.319c149976428p+18",
+     16384ull},
+    {"select-join-groupby/shj/open", "0x1.2971c7acfe61ap+18",
+     "0x1.5e7c3ec318e91p+18", 8206ull},
+    {"select-join-groupby/phj/open", "0x1.6c989a2764983p+18",
+     "0x1.a094b0b60232ap+18", 8206ull},
 };
 
 const Pin& FindPin(const std::string& name) {
@@ -99,12 +145,20 @@ const Pin& FindPin(const std::string& name) {
   return none;
 }
 
+std::string Hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
 void ExpectPinned(const std::string& name, const JoinReport& report) {
   const Pin& pin = FindPin(name);
   EXPECT_EQ(report.elapsed_ns, std::strtod(pin.elapsed_hex, nullptr))
-      << name << ": elapsed_ns drifted from the pre-KeySchema lowering";
+      << name << ": elapsed_ns drifted from the pinned lowering (now "
+      << Hex(report.elapsed_ns) << ")";
   EXPECT_EQ(report.estimated_ns, std::strtod(pin.estimated_hex, nullptr))
-      << name << ": estimated_ns drifted from the pre-KeySchema lowering";
+      << name << ": estimated_ns drifted from the pinned lowering (now "
+      << Hex(report.estimated_ns) << ")";
   EXPECT_EQ(report.matches, pin.matches) << name;
 }
 
@@ -122,24 +176,29 @@ TEST(KeySchemaParityTest, U32SingleJoinsBitIdentical) {
   }
 }
 
-TEST(KeySchemaParityTest, U32SelectJoinGroupByBitIdentical) {
-  const data::Workload w = MustWorkload(42);
+PlanSpec SelectJoinGroupByPlan(const data::Workload& w, Algorithm algo,
+                               HashLayout layout) {
   plan::Predicate pred;
   pred.column = plan::SelectColumn::kRid;
   pred.op = plan::CompareOp::kLt;
   pred.operand = static_cast<int32_t>(w.build.size() / 2);
+  PlanSpec plan;
+  const int b = plan.graph.AddScan(&w.build);
+  const int sel = plan.graph.AddSelect(b, pred);
+  const int p = plan.graph.AddScan(&w.probe);
+  const int j = plan.graph.AddHashJoin(sel, p);
+  plan.graph.AddGroupBy(j, plan::AggFn::kSum);
+  plan.exec = MakeSpec(algo, layout);
+  plan.expected_matches = w.expected_matches;
+  return plan;
+}
+
+TEST(KeySchemaParityTest, U32SelectJoinGroupByBitIdentical) {
+  const data::Workload w = MustWorkload(42);
   for (Algorithm algo : {Algorithm::kSHJ, Algorithm::kPHJ}) {
-    PlanSpec plan;
-    const int b = plan.graph.AddScan(&w.build);
-    const int sel = plan.graph.AddSelect(b, pred);
-    const int p = plan.graph.AddScan(&w.probe);
-    const int j = plan.graph.AddHashJoin(sel, p);
-    plan.graph.AddGroupBy(j, plan::AggFn::kSum);
-    plan.exec = MakeSpec(algo, HashLayout::kChained);
-    plan.expected_matches = w.expected_matches;
     ExpectPinned(std::string("select-join-groupby/") +
                      (algo == Algorithm::kSHJ ? "shj" : "phj"),
-                 MustRun(plan));
+                 MustRun(SelectJoinGroupByPlan(w, algo, HashLayout::kChained)));
   }
 }
 
@@ -157,6 +216,60 @@ TEST(KeySchemaParityTest, U32MultiwayBitIdentical) {
     plan.expected_matches = w.expected_matches;
     ExpectPinned(std::string("multiway/") +
                      (layout == HashLayout::kChained ? "chained" : "open"),
+                 MustRun(plan));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Kernel-variant pins: every algorithm x layout instantiation of the wide,
+// separate-table, grouping and fused-filter kernel paths
+// ---------------------------------------------------------------------------
+
+TEST(KeySchemaParityTest, U64JoinsBitIdentical) {
+  // 50% selectivity: misses run the two-word compare to a kNil result.
+  const data::Workload w = MustWorkload(42, data::KeySchema::kU64, 0.5);
+  for (Algorithm algo : {Algorithm::kSHJ, Algorithm::kPHJ}) {
+    for (HashLayout layout :
+         {HashLayout::kChained, HashLayout::kOpenAddressing}) {
+      ExpectPinned(AlgoLayoutName("u64", algo, layout),
+                   MustRun(MakeSingleJoinPlan(w, MakeSpec(algo, layout))));
+    }
+  }
+}
+
+TEST(KeySchemaParityTest, SeparateTablesBitIdentical) {
+  const data::Workload w = MustWorkload(42);
+  for (Algorithm algo : {Algorithm::kSHJ, Algorithm::kPHJ}) {
+    for (HashLayout layout :
+         {HashLayout::kChained, HashLayout::kOpenAddressing}) {
+      JoinSpec spec = MakeSpec(algo, layout);
+      spec.engine.shared_table = false;
+      ExpectPinned(AlgoLayoutName("separate", algo, layout),
+                   MustRun(MakeSingleJoinPlan(w, spec)));
+    }
+  }
+}
+
+TEST(KeySchemaParityTest, GroupingBitIdentical) {
+  const data::Workload w = MustWorkload(42);
+  for (Algorithm algo : {Algorithm::kSHJ, Algorithm::kPHJ}) {
+    for (HashLayout layout :
+         {HashLayout::kChained, HashLayout::kOpenAddressing}) {
+      JoinSpec spec = MakeSpec(algo, layout);
+      spec.engine.grouping = true;
+      ExpectPinned(AlgoLayoutName("grouping", algo, layout),
+                   MustRun(MakeSingleJoinPlan(w, spec)));
+    }
+  }
+}
+
+TEST(KeySchemaParityTest, FusedSelectJoinGroupByOpenBitIdentical) {
+  const data::Workload w = MustWorkload(42);
+  for (Algorithm algo : {Algorithm::kSHJ, Algorithm::kPHJ}) {
+    PlanSpec plan = SelectJoinGroupByPlan(w, algo, HashLayout::kOpenAddressing);
+    ASSERT_EQ(plan.exec.engine.fuse, exec::FuseMode::kAuto);
+    ExpectPinned(AlgoLayoutName("select-join-groupby", algo,
+                                HashLayout::kOpenAddressing),
                  MustRun(plan));
   }
 }
