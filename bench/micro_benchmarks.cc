@@ -185,7 +185,7 @@ void ProbeOpenAddressing(benchmark::State& state, bool use_avx2,
     const int32_t key = static_cast<int32_t>(2 * k + 1);
     const int32_t slot =
         table.FindOrAddKey(table.BucketOf(MurmurHash2x4(2 * k + 1)), key,
-                           &work);
+                           simcl::DeviceId::kCpu, 0, &work);
     table.InsertRid(slot, static_cast<int32_t>(k), simcl::DeviceId::kCpu, 0);
   }
   const ProbeBatch batch = MakeProbeBatch();
@@ -298,7 +298,7 @@ void BM_ProbeOpenAddressingWide(benchmark::State& state) {
     const int32_t hi = static_cast<int32_t>(k);
     const int32_t slot = table.FindOrAddKeyWide(
         table.BucketOf(MurmurHash2x8(data::PackKeyPair(lo, hi))), lo, hi,
-        &work);
+        simcl::DeviceId::kCpu, 0, &work);
     table.InsertRid(slot, static_cast<int32_t>(k), simcl::DeviceId::kCpu, 0);
   }
   const WideProbeBatch batch = MakeWideProbeBatch();

@@ -1,9 +1,12 @@
-// End-to-end hash-join execution on an execution backend over the simulated
-// coupled (or emulated discrete) platform: engine setup, cost-model
-// calibration, ratio optimization, phase-by-phase series execution,
-// discrete-mode PCI-e transfers, separate-table merging, and the final
-// report with the paper's reporting dimensions (time breakdown, per-step
-// ratios, lock overhead, model estimate, cache counters).
+// The single-join specification (JoinSpec) and the run report (JoinReport)
+// of end-to-end hash-join execution on an execution backend over the
+// simulated coupled (or emulated discrete) platform: engine setup,
+// cost-model calibration, ratio optimization, phase-by-phase series
+// execution, discrete-mode PCI-e transfers, separate-table merging, and the
+// report's reporting dimensions (time breakdown, per-step ratios, lock
+// overhead, model estimate, cache counters). Execution itself goes through
+// ExecutePlan (coproc/pipeline_runner.h); MakeSingleJoinPlan lowers a
+// workload plus JoinSpec onto a one-HashJoin plan.
 //
 // The backend decides what a step's execution *costs*: the sim backend
 // prices it with the analytic device model (virtual ns, bit-identical to
@@ -142,28 +145,6 @@ struct JoinReport {
 
   double elapsed_sec() const { return elapsed_ns * 1e-9; }
 };
-
-/// Runs build ⋈ probe under `spec` on `backend`. Fails on invalid
-/// combinations (e.g. fine-grained PL on the emulated discrete
-/// architecture, which the paper shows is impractical there).
-///
-/// Legacy entry point: a thin shim that lowers the workload into a
-/// single-HashJoin PlanSpec and runs it through the pipeline runner
-/// (coproc/pipeline_runner.h) — the report is bit-identical to what this
-/// function produced before plan trees existed.
-[[deprecated(
-    "build a PlanSpec and call ExecutePlan (coproc/pipeline_runner.h)")]]
-apujoin::StatusOr<JoinReport> ExecuteJoin(exec::Backend* backend,
-                                          const data::Workload& workload,
-                                          const JoinSpec& spec);
-
-/// Convenience: builds the backend selected by `spec.engine.backend` over
-/// `ctx` for the duration of the call.
-[[deprecated(
-    "build a PlanSpec and call ExecutePlan (coproc/pipeline_runner.h)")]]
-apujoin::StatusOr<JoinReport> ExecuteJoin(simcl::SimContext* ctx,
-                                          const data::Workload& workload,
-                                          const JoinSpec& spec);
 
 }  // namespace apujoin::coproc
 

@@ -70,9 +70,8 @@ struct PlanSpec {
   double skew_fraction = 0.0;
 };
 
-/// Lowers the legacy single-join spec onto a one-HashJoin plan over the
-/// workload's relations. Running the result through ExecutePlan reproduces
-/// ExecuteJoin's report bit-identically (same phases, labels, times).
+/// Lowers a single-join spec onto a one-HashJoin plan over the workload's
+/// relations, with the workload's expected matches and skew attached.
 /// The workload must outlive the returned PlanSpec (scans point into it).
 PlanSpec MakeSingleJoinPlan(const data::Workload& workload,
                             const JoinSpec& spec);

@@ -59,7 +59,8 @@ alloc::AllocCounts NodePools::TakeCounts() {
   return c;
 }
 
-HashTable::HashTable(uint32_t num_buckets, NodePools* pools)
+HashTable::HashTable(uint32_t num_buckets, NodePools* pools,
+                     bool /*wide_keys*/)
     : num_buckets_(num_buckets),
       pools_(pools),
       head_(num_buckets),
@@ -194,8 +195,8 @@ bool HashTable::InsertRid(int32_t key_node, int32_t rid, simcl::DeviceId dev,
   return true;
 }
 
-int32_t HashTable::FindKey(uint32_t bucket, int32_t key,
-                           uint32_t* work) const {
+int32_t HashTable::FindKey(uint32_t bucket, int32_t key, uint32_t* work,
+                           bool /*use_avx2*/) const {
   Touch(&head_[bucket]);  // the list head load below
   uint32_t traversed = 1;
   // acquire (head and next): pairs with the inserter's acq_rel CAS so
@@ -213,7 +214,7 @@ int32_t HashTable::FindKey(uint32_t bucket, int32_t key,
 }
 
 int32_t HashTable::FindKeyWide(uint32_t bucket, int32_t key_lo, int32_t key_hi,
-                               uint32_t* work) const {
+                               uint32_t* work, bool /*use_avx2*/) const {
   Touch(&head_[bucket]);  // the list head load below
   uint32_t traversed = 1;
   // acquire (head and next): pairs with the inserter's acq_rel CAS so
@@ -234,6 +235,7 @@ int32_t HashTable::FindKeyWide(uint32_t bucket, int32_t key_lo, int32_t key_hi,
 }
 
 std::pair<uint64_t, uint64_t> HashTable::MergeFrom(const HashTable& other,
+                                                   uint32_t shift,
                                                    simcl::DeviceId dev) {
   uint64_t keys_moved = 0;
   uint64_t rids_moved = 0;
@@ -250,7 +252,7 @@ std::pair<uint64_t, uint64_t> HashTable::MergeFrom(const HashTable& other,
       const uint32_t bucket =
           other.num_buckets_ == num_buckets_
               ? b
-              : BucketOf(MurmurHash2x4(static_cast<uint32_t>(key)));
+              : BucketOf(MurmurHash2x4(static_cast<uint32_t>(key)) >> shift);
       uint32_t work = 0;
       const int32_t dst = FindOrAddKey(bucket, key, dev, /*workgroup=*/0,
                                        &work);

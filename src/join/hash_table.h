@@ -80,11 +80,22 @@ class NodePools {
 };
 
 /// Chained hash table with bucket headers, key lists and rid lists.
+///
+/// HashTable and OpenHashTable share one method surface (FindOrAddKey[Wide],
+/// FindKey[Wide], InsertRid, BumpCount, VisitHeader, ForEachRid,
+/// PrefetchBucket, MergeFrom) with identical signatures, so the step kernels
+/// in hash_join_kernels.h are written once as templates over the table
+/// class. Parameters one layout has no use for are accepted and ignored.
 class HashTable {
  public:
+  /// VisitHeader's result for a bucket holding no keys (an empty key list).
+  static constexpr int32_t kEmptyHeader = kNil;
+
   /// `num_buckets` must be a nonzero power of two (BucketOf masks with
-  /// num_buckets-1); throws std::invalid_argument otherwise.
-  HashTable(uint32_t num_buckets, NodePools* pools);
+  /// num_buckets-1); throws std::invalid_argument otherwise. Wide key words
+  /// live in the NodePools key arena, so `wide_keys` is ignored here (it
+  /// mirrors the OpenHashTable constructor).
+  HashTable(uint32_t num_buckets, NodePools* pools, bool wide_keys = false);
 
   uint32_t num_buckets() const { return num_buckets_; }
   uint32_t BucketOf(uint32_t hash) const { return hash & (num_buckets_ - 1); }
@@ -121,17 +132,19 @@ class HashTable {
   }
 
   /// Step p3: find key without inserting. Returns key node or kNil;
-  /// `*work` += nodes traversed (>= 1).
-  int32_t FindKey(uint32_t bucket, int32_t key, uint32_t* work) const;
+  /// `*work` += nodes traversed (>= 1). The chained walk is scalar, so
+  /// `use_avx2` is ignored.
+  int32_t FindKey(uint32_t bucket, int32_t key, uint32_t* work,
+                  bool use_avx2 = false) const;
 
   /// Wide-key p3: find a two-word canonical key without inserting.
   int32_t FindKeyWide(uint32_t bucket, int32_t key_lo, int32_t key_hi,
-                      uint32_t* work) const;
+                      uint32_t* work, bool use_avx2 = false) const;
 
   /// Prefetches the bucket's header line (the first hop of every header
   /// visit and key-list walk) — issued by the batch kernels
   /// `prefetch_dist` items ahead of the access.
-  void PrefetchHeader(uint32_t bucket) const {
+  void PrefetchBucket(uint32_t bucket) const {
     __builtin_prefetch(&head_[bucket], 0, 1);
   }
 
@@ -149,9 +162,12 @@ class HashTable {
   }
 
   /// Merges all entries of `other` into this table (the post-build merge
-  /// required by separate tables). Returns {keys moved, rids moved}.
+  /// required by separate tables). Equal-sized tables keep each key's
+  /// bucket; otherwise the bucket is recomputed from the key's hash
+  /// pre-shifted by `shift` (0 for SHJ, the radix bits for PHJ partitions).
+  /// Returns {keys moved, rids moved}.
   std::pair<uint64_t, uint64_t> MergeFrom(const HashTable& other,
-                                          simcl::DeviceId dev);
+                                          uint32_t shift, simcl::DeviceId dev);
 
   /// Key/rid nodes inserted through this table.
   uint64_t keys_inserted() const {

@@ -1,7 +1,9 @@
 #include "join/multiway_engine.h"
 
+#include <array>
 #include <utility>
 
+#include "join/hash_join_kernels.h"
 #include "util/murmur_hash.h"
 
 namespace apujoin::join {
@@ -18,7 +20,7 @@ MultiwayEngine::MultiwayEngine(simcl::SimContext* ctx,
 }
 
 apujoin::Status MultiwayEngine::Prepare() {
-  if (builds_.size() < 2 || builds_.size() > 4) {
+  if (builds_.size() < 2 || builds_.size() > kMaxTables) {
     return apujoin::Status::InvalidArgument(
         "multiway chain takes 2..4 build tables, got " +
         std::to_string(builds_.size()));
@@ -75,252 +77,144 @@ bool MultiwayEngine::overflowed() const {
 }
 
 std::vector<StepDef> MultiwayEngine::ChainSteps(ResultWriter* out) {
+  return WithKernelTypes(opts_.layout, wide_, [&](auto table, auto wide) {
+    return ChainStepsT<typename decltype(table)::type, decltype(wide)::value>(
+        out);
+  });
+}
+
+template <class Table, bool kWide>
+std::vector<StepDef> MultiwayEngine::ChainStepsT(ResultWriter* out) {
   const uint64_t np = probe_->size();
   const int32_t* s_keys = probe_->keys.data();
   const int32_t* s_hi = probe_->key_hi.data();
   const int32_t* s_rids = probe_->rids.data();
   uint32_t* s_hash = s_hash_.data();
   uint8_t* s_alive = s_alive_.data();
-  const bool open = opts_.layout == exec::HashLayout::kOpenAddressing;
-  const bool wide = wide_;
-  const double ws = TablesWorkingSetBytes();
   const uint32_t dist = opts_.prefetch_dist;
+  std::atomic<bool>* overflowed = &overflowed_;
 
   std::vector<StepDef> steps;
 
-  // Key-width dispatch at construction scope (like the single-join
-  // engines): each kernel body below is one branch-free variant.
   StepDef m1;
   m1.name = "m1";
   m1.profile = HashStepProfile(data::KeyBytes(probe_->key_schema));
   m1.items = np;
-  if (wide) {
-    m1.run = [s_keys, s_hi, s_hash, s_alive](const Morsel& m, DeviceId,
-                                             uint32_t* lw) -> uint64_t {
-      for (uint64_t i = m.begin; i < m.end; ++i) {
+  m1.run = [s_keys, s_hi, s_hash, s_alive](const Morsel& m, DeviceId,
+                                           uint32_t* lw) -> uint64_t {
+    for (uint64_t i = m.begin; i < m.end; ++i) {
+      if constexpr (kWide) {
         s_hash[i] = MurmurHash2x8(data::PackKeyPair(s_keys[i], s_hi[i]));
-        s_alive[i] = 1;
-      }
-      return ConstantWork(lw, m);
-    };
-  } else {
-    m1.run = [s_keys, s_hash, s_alive](const Morsel& m, DeviceId,
-                                       uint32_t* lw) -> uint64_t {
-      for (uint64_t i = m.begin; i < m.end; ++i) {
+      } else {
         s_hash[i] = MurmurHash2x4(static_cast<uint32_t>(s_keys[i]));
-        s_alive[i] = 1;
       }
-      return ConstantWork(lw, m);
-    };
-  }
+      s_alive[i] = 1;
+    }
+    return ConstantWork(lw, m);
+  };
   steps.push_back(std::move(m1));
 
+  // m4 reads every table's rid lists: tables 0..K-2 contribute their
+  // rid-list lengths as a multiplier; the last table's rids are emitted.
+  std::array<const Table*, kMaxTables> tables{};
+  std::array<const int32_t*, kMaxTables> keynodes{};
   for (int k = 0; k < num_tables(); ++k) {
     ShjEngine* eng = engines_[k].get();
+    Table* t = eng->layout_table<Table>();
     int32_t* keynode = s_keynode_[k].data();
-    const double header_bytes =
-        static_cast<double>(eng->options().num_buckets) * 8.0;
+    tables[k] = t;
+    keynodes[k] = keynode;
 
     StepDef m2;
     m2.name = "m2." + std::to_string(k);
-    m2.profile = HeaderVisitProfile(header_bytes);
+    m2.profile = HeaderVisitProfile(
+        static_cast<double>(eng->options().num_buckets) * 8.0);
     m2.items = np;
-    if (open) {
-      m2.run = [eng, dist, s_hash, s_alive](const Morsel& m, DeviceId,
-                                            uint32_t* lw) -> uint64_t {
-        OpenHashTable* t = eng->open_table(0);
-        for (uint64_t i = m.begin; i < m.end; ++i) {
-          if (dist != 0 && i + dist < m.end && s_alive[i + dist] != 0) {
-            t->PrefetchBucket(t->BucketOf(s_hash[i + dist]));
-          }
-          if (s_alive[i] == 0) continue;
-          // A home bucket with no published slots has 8 free slots, which
-          // ends any linear probe — the key is definitively absent.
-          if (t->VisitHeader(t->BucketOf(s_hash[i])) == 0) s_alive[i] = 0;
+    m2.run = [t, dist, s_hash, s_alive](const Morsel& m, DeviceId,
+                                        uint32_t* lw) -> uint64_t {
+      for (uint64_t i = m.begin; i < m.end; ++i) {
+        if (dist != 0 && i + dist < m.end && s_alive[i + dist] != 0) {
+          t->PrefetchBucket(t->BucketOf(s_hash[i + dist]));
         }
-        return ConstantWork(lw, m);
-      };
-    } else {
-      m2.run = [eng, dist, s_hash, s_alive](const Morsel& m, DeviceId,
-                                            uint32_t* lw) -> uint64_t {
-        HashTable* t = eng->table(0);
-        for (uint64_t i = m.begin; i < m.end; ++i) {
-          if (dist != 0 && i + dist < m.end && s_alive[i + dist] != 0) {
-            t->PrefetchHeader(t->BucketOf(s_hash[i + dist]));
-          }
-          if (s_alive[i] == 0) continue;
-          if (t->VisitHeader(t->BucketOf(s_hash[i])) == kNil) s_alive[i] = 0;
+        if (s_alive[i] == 0) continue;
+        // An empty bucket ends the search: the key is definitively absent.
+        if (t->VisitHeader(t->BucketOf(s_hash[i])) == Table::kEmptyHeader) {
+          s_alive[i] = 0;
         }
-        return ConstantWork(lw, m);
-      };
-    }
+      }
+      return ConstantWork(lw, m);
+    };
     steps.push_back(std::move(m2));
 
     StepDef m3;
     m3.name = "m3." + std::to_string(k);
-    m3.profile = open ? OpenKeySearchProfile(eng->TableWorkingSetBytes(),
-                                             opts_.locality_boost)
-                      : KeySearchProfile(eng->TableWorkingSetBytes(),
-                                         opts_.locality_boost);
+    m3.profile = kIsOpenTable<Table>
+                     ? OpenKeySearchProfile(eng->TableWorkingSetBytes(),
+                                            opts_.locality_boost)
+                     : KeySearchProfile(eng->TableWorkingSetBytes(),
+                                        opts_.locality_boost);
     m3.items = np;
-    if (open && wide) {
-      m3.run = [eng, dist, s_keys, s_hi, s_hash, s_alive, keynode](
-                   const Morsel& m, DeviceId, uint32_t* lw) -> uint64_t {
-        OpenHashTable* t = eng->open_table(0);
-        uint64_t total = 0;
-        for (uint64_t i = m.begin; i < m.end; ++i) {
-          if (dist != 0 && i + dist < m.end && s_alive[i + dist] != 0) {
-            t->PrefetchBucket(t->BucketOf(s_hash[i + dist]));
-          }
-          uint32_t work = 1;
-          if (s_alive[i] != 0) {
-            work = 0;
-            keynode[i] = t->FindKeyWide(t->BucketOf(s_hash[i]), s_keys[i],
-                                        s_hi[i], &work);
-            if (keynode[i] == kNil) s_alive[i] = 0;
-          }
-          total += RecordWork(lw, m, i, work);
+    const bool avx2 = eng->probe_uses_avx2();
+    m3.run = [t, dist, avx2, s_keys, s_hi, s_hash, s_alive, keynode](
+                 const Morsel& m, DeviceId, uint32_t* lw) -> uint64_t {
+      uint64_t total = 0;
+      for (uint64_t i = m.begin; i < m.end; ++i) {
+        if (dist != 0 && i + dist < m.end && s_alive[i + dist] != 0) {
+          t->PrefetchBucket(t->BucketOf(s_hash[i + dist]));
         }
-        return total;
-      };
-    } else if (open) {
-      const bool avx2 = eng->probe_uses_avx2();
-      m3.run = [eng, dist, s_keys, s_hash, s_alive, keynode, avx2](
-                   const Morsel& m, DeviceId, uint32_t* lw) -> uint64_t {
-        OpenHashTable* t = eng->open_table(0);
-        uint64_t total = 0;
-        for (uint64_t i = m.begin; i < m.end; ++i) {
-          if (dist != 0 && i + dist < m.end && s_alive[i + dist] != 0) {
-            t->PrefetchBucket(t->BucketOf(s_hash[i + dist]));
+        uint32_t work = 1;
+        if (s_alive[i] != 0) {
+          work = 0;
+          const uint32_t b = t->BucketOf(s_hash[i]);
+          if constexpr (kWide) {
+            keynode[i] = t->FindKeyWide(b, s_keys[i], s_hi[i], &work, avx2);
+          } else {
+            keynode[i] = t->FindKey(b, s_keys[i], &work, avx2);
           }
-          uint32_t work = 1;
-          if (s_alive[i] != 0) {
-            work = 0;
-            keynode[i] =
-                t->FindKey(t->BucketOf(s_hash[i]), s_keys[i], &work, avx2);
-            if (keynode[i] == kNil) s_alive[i] = 0;
-          }
-          total += RecordWork(lw, m, i, work);
+          if (keynode[i] == kNil) s_alive[i] = 0;
         }
-        return total;
-      };
-    } else if (wide) {
-      m3.run = [eng, dist, s_keys, s_hi, s_hash, s_alive, keynode](
-                   const Morsel& m, DeviceId, uint32_t* lw) -> uint64_t {
-        HashTable* t = eng->table(0);
-        uint64_t total = 0;
-        for (uint64_t i = m.begin; i < m.end; ++i) {
-          if (dist != 0 && i + dist < m.end && s_alive[i + dist] != 0) {
-            t->PrefetchHeader(t->BucketOf(s_hash[i + dist]));
-          }
-          uint32_t work = 1;
-          if (s_alive[i] != 0) {
-            work = 0;
-            keynode[i] = t->FindKeyWide(t->BucketOf(s_hash[i]), s_keys[i],
-                                        s_hi[i], &work);
-            if (keynode[i] == kNil) s_alive[i] = 0;
-          }
-          total += RecordWork(lw, m, i, work);
-        }
-        return total;
-      };
-    } else {
-      m3.run = [eng, dist, s_keys, s_hash, s_alive, keynode](
-                   const Morsel& m, DeviceId, uint32_t* lw) -> uint64_t {
-        HashTable* t = eng->table(0);
-        uint64_t total = 0;
-        for (uint64_t i = m.begin; i < m.end; ++i) {
-          if (dist != 0 && i + dist < m.end && s_alive[i + dist] != 0) {
-            t->PrefetchHeader(t->BucketOf(s_hash[i + dist]));
-          }
-          uint32_t work = 1;
-          if (s_alive[i] != 0) {
-            work = 0;
-            keynode[i] = t->FindKey(t->BucketOf(s_hash[i]), s_keys[i], &work);
-            if (keynode[i] == kNil) s_alive[i] = 0;
-          }
-          total += RecordWork(lw, m, i, work);
-        }
-        return total;
-      };
-    }
+        total += RecordWork(lw, m, i, work);
+      }
+      return total;
+    };
     steps.push_back(std::move(m3));
   }
 
-  // m4: emit the cross product. Tables 0..K-2 contribute their rid-list
-  // lengths as a multiplier; the last table's rids are materialized.
   const int last = num_tables() - 1;
   StepDef m4;
   m4.name = "m4";
-  m4.profile = EmitProfile(ws, opts_.locality_boost);
+  m4.profile = EmitProfile(TablesWorkingSetBytes(), opts_.locality_boost);
   m4.items = np;
-  if (open) {
-    m4.run = [this, out, s_rids, s_keys, s_alive, last](
-                 const Morsel& m, DeviceId dev, uint32_t* lw) -> uint64_t {
-      const bool keyed = out->captures_keys();
-      uint64_t total = 0;
-      for (uint64_t i = m.begin; i < m.end; ++i) {
-        uint32_t work = 1;
-        if (s_alive[i] != 0) {
-          uint64_t prod = 1;
-          for (int k = 0; k < last; ++k) {
-            prod *= engines_[k]->open_table(0)->ForEachRid(s_keynode_[k][i],
-                                                           [](int32_t) {});
-          }
-          const int32_t srid = s_rids[i];
-          const int32_t skey = s_keys[i];
-          const uint32_t wg = WorkgroupOf(i);
-          if (prod > 0) {
-            work += engines_[last]->open_table(0)->ForEachRid(
-                s_keynode_[last][i],
-                [this, out, keyed, skey, srid, dev, wg, prod](int32_t brid) {
-                  for (uint64_t c = 0; c < prod; ++c) {
-                    const bool ok = keyed
-                                        ? out->Emit(skey, brid, srid, dev, wg)
-                                        : out->Emit(brid, srid, dev, wg);
-                    if (!ok) overflowed_ = true;
-                  }
-                });
-          }
+  m4.run = [tables, keynodes, last, out, s_rids, s_keys, s_alive, overflowed](
+               const Morsel& m, DeviceId dev, uint32_t* lw) -> uint64_t {
+    const bool keyed = out->captures_keys();
+    uint64_t total = 0;
+    for (uint64_t i = m.begin; i < m.end; ++i) {
+      uint32_t work = 1;
+      if (s_alive[i] != 0) {
+        uint64_t prod = 1;
+        for (int k = 0; k < last; ++k) {
+          prod *= tables[k]->ForEachRid(keynodes[k][i], [](int32_t) {});
         }
-        total += RecordWork(lw, m, i, work);
-      }
-      return total;
-    };
-  } else {
-    m4.run = [this, out, s_rids, s_keys, s_alive, last](
-                 const Morsel& m, DeviceId dev, uint32_t* lw) -> uint64_t {
-      const bool keyed = out->captures_keys();
-      uint64_t total = 0;
-      for (uint64_t i = m.begin; i < m.end; ++i) {
-        uint32_t work = 1;
-        if (s_alive[i] != 0) {
-          uint64_t prod = 1;
-          for (int k = 0; k < last; ++k) {
-            prod *= engines_[k]->table(0)->ForEachRid(s_keynode_[k][i],
-                                                      [](int32_t) {});
-          }
-          const int32_t srid = s_rids[i];
-          const int32_t skey = s_keys[i];
-          const uint32_t wg = WorkgroupOf(i);
-          if (prod > 0) {
-            work += engines_[last]->table(0)->ForEachRid(
-                s_keynode_[last][i],
-                [this, out, keyed, skey, srid, dev, wg, prod](int32_t brid) {
-                  for (uint64_t c = 0; c < prod; ++c) {
-                    const bool ok = keyed
-                                        ? out->Emit(skey, brid, srid, dev, wg)
+        const int32_t srid = s_rids[i];
+        const int32_t skey = s_keys[i];
+        const uint32_t wg = WorkgroupOf(i);
+        if (prod > 0) {
+          work += tables[last]->ForEachRid(
+              keynodes[last][i], [out, keyed, skey, srid, dev, wg, prod,
+                                  overflowed](int32_t brid) {
+                for (uint64_t c = 0; c < prod; ++c) {
+                  const bool ok = keyed ? out->Emit(skey, brid, srid, dev, wg)
                                         : out->Emit(brid, srid, dev, wg);
-                    if (!ok) overflowed_ = true;
-                  }
-                });
-          }
+                  if (!ok) *overflowed = true;
+                }
+              });
         }
-        total += RecordWork(lw, m, i, work);
       }
-      return total;
-    };
-  }
+      total += RecordWork(lw, m, i, work);
+    }
+    return total;
+  };
   steps.push_back(std::move(m4));
   return steps;
 }

@@ -50,6 +50,9 @@ class MultiwayEngine {
   /// The probe-chain step series m1, m2.k/m3.k per table, m4 over |S|.
   std::vector<StepDef> ChainSteps(ResultWriter* out);
 
+  /// Most build tables one chain joins.
+  static constexpr size_t kMaxTables = 4;
+
   bool overflowed() const;
 
   /// Summed per-table working sets — the chain's random accesses span all
@@ -57,6 +60,10 @@ class MultiwayEngine {
   double TablesWorkingSetBytes() const;
 
  private:
+  /// The chain series for one table layout class and key width.
+  template <class Table, bool kWide>
+  std::vector<StepDef> ChainStepsT(ResultWriter* out);
+
   simcl::SimContext* ctx_;
   std::vector<const data::Relation*> builds_;
   const data::Relation* probe_;

@@ -69,7 +69,8 @@ uint32_t OpenHashTable::VisitHeader(uint32_t bucket, int32_t* count) const {
 }
 
 int32_t OpenHashTable::FindOrAddKey(uint32_t home_bucket, int32_t key,
-                                    uint32_t* work) {
+                                    simcl::DeviceId /*dev*/,
+                                    uint32_t /*workgroup*/, uint32_t* work) {
   uint32_t probed = 0;
   uint32_t b = home_bucket;
   for (uint32_t step = 0; step < num_buckets_; ++step) {
@@ -122,7 +123,10 @@ int32_t OpenHashTable::FindOrAddKey(uint32_t home_bucket, int32_t key,
 }
 
 int32_t OpenHashTable::FindOrAddKeyWide(uint32_t home_bucket, int32_t key_lo,
-                                        int32_t key_hi, uint32_t* work) {
+                                        int32_t key_hi,
+                                        simcl::DeviceId /*dev*/,
+                                        uint32_t /*workgroup*/,
+                                        uint32_t* work) {
   uint32_t probed = 0;
   uint32_t b = home_bucket;
   for (uint32_t step = 0; step < num_buckets_; ++step) {
@@ -221,7 +225,8 @@ int32_t OpenHashTable::FindKeyScalar(uint32_t home_bucket, int32_t key,
 }
 
 int32_t OpenHashTable::FindKeyWide(uint32_t home_bucket, int32_t key_lo,
-                                   int32_t key_hi, uint32_t* work) const {
+                                   int32_t key_hi, uint32_t* work,
+                                   bool /*use_avx2*/) const {
   uint32_t probed = 0;
   uint32_t b = home_bucket;
   for (uint32_t step = 0; step < num_buckets_; ++step) {
@@ -312,7 +317,7 @@ std::pair<uint64_t, uint64_t> OpenHashTable::MergeFrom(
       const uint32_t home = BucketOf(
           MurmurHash2x4(static_cast<uint32_t>(key)) >> shift);
       uint32_t work = 0;
-      const int32_t dst = FindOrAddKey(home, key, &work);
+      const int32_t dst = FindOrAddKey(home, key, dev, /*workgroup=*/0, &work);
       if (dst == kNil) return {keys_moved, rids_moved};
       ++keys_moved;
       // relaxed: quiescent source table (see loop header comment).

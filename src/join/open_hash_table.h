@@ -56,8 +56,15 @@ uint32_t OpenBucketsFor(uint64_t build_tuples);
 
 /// Open-addressing hash table: 8-slot key buckets with linear probing,
 /// per-slot rid lists carved from a shared NodePools rid arena.
+/// Shares HashTable's method surface (see hash_table.h); the parameters
+/// only the chained layout uses (allocator device/work group on key
+/// insertion) are accepted and ignored.
 class OpenHashTable {
  public:
+  /// VisitHeader's result for a bucket with no published slots. Such a
+  /// bucket ends every linear probe, so its keys are definitively absent.
+  static constexpr uint32_t kEmptyHeader = 0;
+
   /// `num_buckets` must be a nonzero power of two, at most 2^27 (so global
   /// slot ids fit an int32); throws std::invalid_argument otherwise.
   /// `wide_keys` adds a parallel secondary key-word array for two-word
@@ -79,14 +86,18 @@ class OpenHashTable {
   /// Step b3: find `key` starting at its home bucket, claiming a slot if
   /// absent. Returns the global slot id (bucket * 8 + slot) or kNil when
   /// every bucket is full (the caller falls back to its overflow path).
-  /// `*work` is incremented by the number of buckets probed (>= 1).
-  int32_t FindOrAddKey(uint32_t home_bucket, int32_t key, uint32_t* work);
+  /// `*work` is incremented by the number of buckets probed (>= 1). Keys
+  /// live inline in the bucket arrays, so `dev`/`workgroup` (the chained
+  /// layout's node-allocator routing) are ignored.
+  int32_t FindOrAddKey(uint32_t home_bucket, int32_t key, simcl::DeviceId dev,
+                       uint32_t workgroup, uint32_t* work);
 
   /// Wide-key b3: like FindOrAddKey but matching both canonical key words
   /// (lo first — the 64-bit-hash word for dict-strings — then hi, the
   /// dictionary code). Requires construction with wide_keys = true.
   int32_t FindOrAddKeyWide(uint32_t home_bucket, int32_t key_lo,
-                           int32_t key_hi, uint32_t* work);
+                           int32_t key_hi, simcl::DeviceId dev,
+                           uint32_t workgroup, uint32_t* work);
 
   /// Step b4: insert `rid` into the slot's rid list. Returns false if the
   /// rid arena is exhausted.
@@ -103,13 +114,13 @@ class OpenHashTable {
   /// bucket-compare when compiled in (ignored — scalar — otherwise);
   /// both paths return identical results.
   int32_t FindKey(uint32_t home_bucket, int32_t key, uint32_t* work,
-                  bool use_avx2) const;
+                  bool use_avx2 = false) const;
 
   /// Wide-key p3: find a two-word canonical key without inserting. Scalar
-  /// only — the 8-lane AVX2 bucket compare covers one 32-bit word, so the
-  /// engines fall back to this path per-schema instead of per-item.
+  /// only — the 8-lane AVX2 bucket compare covers one 32-bit word, so
+  /// `use_avx2` is ignored and the engines resolve it false per-schema.
   int32_t FindKeyWide(uint32_t home_bucket, int32_t key_lo, int32_t key_hi,
-                      uint32_t* work) const;
+                      uint32_t* work, bool use_avx2 = false) const;
 
   /// Step p4: walk the rid list of `slot`, calling `emit(build_rid)` for
   /// each match. Returns the number of matches.

@@ -13,11 +13,13 @@
 #ifndef APUJOIN_JOIN_PARTITIONED_HASH_JOIN_H_
 #define APUJOIN_JOIN_PARTITIONED_HASH_JOIN_H_
 
-#include <atomic>
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "data/relation.h"
+#include "join/hash_join_kernels.h"
 #include "join/hash_table.h"
 #include "join/open_hash_table.h"
 #include "join/options.h"
@@ -31,11 +33,13 @@ namespace apujoin::join {
 
 class GroupByEngine;
 
-/// PHJ engine: partitioners + per-partition tables + join-phase kernels.
-class PhjEngine {
+/// PHJ engine: partitioners + per-partition tables over the shared kernel
+/// family (hash_join_kernels.h).
+class PhjEngine : public HashJoinEngineBase {
  public:
   PhjEngine(simcl::SimContext* ctx, const data::Relation* build,
-            const data::Relation* probe, EngineOptions opts);
+            const data::Relation* probe, EngineOptions opts)
+      : HashJoinEngineBase(ctx, build, probe, opts) {}
 
   /// Plans the radix partitioning and allocates state.
   apujoin::Status Prepare();
@@ -53,120 +57,52 @@ class PhjEngine {
   void set_build_filter(const uint8_t* flags) { part_r_->set_filter(flags); }
   void set_probe_filter(const uint8_t* flags) { part_s_->set_filter(flags); }
 
-  /// Number of live build lanes under the build filter (the fused
-  /// select's survivor count). Prepare() derives the radix plan and node
-  /// pools from it, so a fused plan partitions with the same pass/
-  /// partition layout an unfused plan would pick for the materialized
-  /// filtered relation. 0 (the default) means unfiltered; set before
-  /// Prepare().
-  void set_build_cardinality(uint64_t n) { build_card_ = n; }
-
   /// Creates the per-partition hash tables. Must be called after both
   /// partitioners finished all passes.
   apujoin::Status PrepareJoinPhase();
 
-  std::vector<StepDef> BuildSteps();
-  std::vector<StepDef> ProbeSteps(ResultWriter* out);
+  std::vector<StepDef> BuildSteps() { return Steps(true, nullptr, nullptr); }
+  std::vector<StepDef> ProbeSteps(ResultWriter* out) {
+    return Steps(false, out, nullptr);
+  }
 
   /// Fused HashJoin→GroupBy edges: p1..p3 plus a fused probe+aggregate
   /// step (p4g) that folds every match into `agg` instead of emitting
   /// result pairs. `agg` must be PrepareFused()-sized and outlive the run.
-  std::vector<StepDef> ProbeStepsFused(GroupByEngine* agg);
+  std::vector<StepDef> ProbeStepsFused(GroupByEngine* agg) {
+    return Steps(false, nullptr, agg);
+  }
 
   /// Separate-table mode: merge per-partition GPU tables into CPU tables.
   std::pair<uint64_t, uint64_t> MergeSeparateTables();
 
-  NodePools& pools() { return *pools_; }
-  const EngineOptions& options() const { return opts_; }
-  bool overflowed() const {
-    // relaxed: sticky flag read after the spans that may set it.
-    return overflowed_.load(std::memory_order_relaxed);
-  }
   uint32_t num_partitions() const { return plan_.total_partitions; }
-  HashTable* table(uint32_t partition) { return tables_[partition].get(); }
+  HashTable* table(uint32_t partition) {
+    return std::get<TableVec<HashTable>>(tables_)[partition].get();
+  }
   /// Open-layout table for `partition` (nullptr under the chained layout).
   OpenHashTable* open_table(uint32_t partition) {
-    return partition < open_tables_.size() ? open_tables_[partition].get()
-                                           : nullptr;
+    const auto& open = std::get<TableVec<OpenHashTable>>(tables_);
+    return partition < open.size() ? open[partition].get() : nullptr;
   }
   /// Average per-partition table capacity as the cost model sees it:
   /// chained buckets, or total key slots under the open layout.
   uint64_t CostModelBuckets() const;
-  /// True when the probe kernels take the AVX2 bucket-compare path.
-  bool probe_uses_avx2() const { return use_avx2_; }
 
   /// Average per-partition working set (bytes) — the join phase's random
   /// accesses hit this, not the full table (PHJ's cache advantage).
   double PartitionWorkingSetBytes() const;
 
-  const std::vector<uint32_t>& probe_permutation() const { return perm_; }
-
-  /// Key schema shared by both relations (validated in Prepare()).
-  data::KeySchema key_schema() const { return build_->key_schema; }
-
  private:
-  void BuildProbePermutation(uint64_t begin, uint64_t end);
+  std::vector<StepDef> Steps(bool build, ResultWriter* out,
+                             GroupByEngine* agg);
 
-  /// Canonicalizes dict-string key columns into engine-owned canonical
-  /// relations (lo = low32(Murmur64(string)), hi = build-side dictionary
-  /// code; probe codes translated) and picks the partitioner inputs.
-  apujoin::Status ResolveKeyViews();
-
-  // Kernel factories, templated on key width: the schema dispatch happens
-  // here — at StepDef-construction scope — so each kernel body is one
-  // branch-free instantiation (narrow U32, or wide two-word canonical).
-  template <bool kWide>
-  std::vector<StepDef> BuildStepsT();
-  template <bool kWide>
-  std::vector<StepDef> BuildStepsOpenT();
-  template <bool kWide>
-  std::vector<StepDef> ProbeStepsCommonT();
-  template <bool kWide>
-  std::vector<StepDef> ProbeStepsCommonOpenT();
-  /// p1..p3 shared by the emitting and fused probe series (per layout);
-  /// width dispatchers over the templated factories above.
-  std::vector<StepDef> ProbeStepsCommon();
-  std::vector<StepDef> ProbeStepsCommonOpen();
-  StepDef MakeEmitStep(ResultWriter* out);
-  StepDef MakeEmitStepOpen(ResultWriter* out);
-  StepDef MakeFusedAggStep(GroupByEngine* agg);
-  StepDef MakeFusedAggStepOpen(GroupByEngine* agg);
-
-  /// Table the build kernel for item `item` on `dev` addresses: the item's
-  /// partition table, or the GPU's private copy in separate mode.
-  HashTable* TableFor(uint64_t item, simcl::DeviceId dev) const;
-  OpenHashTable* OpenTableFor(uint64_t item, simcl::DeviceId dev) const;
-
-  simcl::SimContext* ctx_;
-  const data::Relation* build_;
-  const data::Relation* probe_;
-  EngineOptions opts_;
   RadixPlan plan_;
-  uint64_t build_card_ = 0;  // live build lanes under the filter (0 = all)
-
-  // Partitioner inputs: the relations themselves, or — for dict-string
-  // keys — the engine-owned canonical copies below.
-  const data::Relation* part_in_r_ = nullptr;
-  const data::Relation* part_in_s_ = nullptr;
-  data::Relation r_canon_, s_canon_;
-
   std::unique_ptr<RadixPartitioner> part_r_;
   std::unique_ptr<RadixPartitioner> part_s_;
-  std::unique_ptr<NodePools> pools_;
-  std::vector<std::unique_ptr<HashTable>> tables_;
-  std::vector<std::unique_ptr<HashTable>> tables_gpu_;  // separate mode
-  std::vector<std::unique_ptr<OpenHashTable>> open_tables_;
-  std::vector<std::unique_ptr<OpenHashTable>> open_tables_gpu_;
-  bool use_avx2_ = false;  // resolved from opts_.simd in Prepare()
-  bool wide_ = false;      // KeyIsWide(key_schema()), resolved in Prepare()
-  std::atomic<bool> overflowed_{false};  // kernels may set it concurrently
-
+  LayoutTables tables_;
+  LayoutTables tables_gpu_;  // separate mode: the GPU's private copies
   std::vector<uint32_t> part_of_r_, part_of_s_;  // tuple -> partition
-  std::vector<uint32_t> r_hash_, s_hash_;
-  std::vector<uint32_t> r_bucket_, s_bucket_;
-  std::vector<int32_t> r_keynode_, s_keynode_;
-  std::vector<int32_t> s_count_;
-  std::vector<uint32_t> perm_;
 };
 
 }  // namespace apujoin::join

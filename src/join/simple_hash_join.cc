@@ -1,187 +1,37 @@
 #include "join/simple_hash_join.h"
 
 #include <algorithm>
-#include <numeric>
-#include <unordered_map>
-
-#include "join/groupby_engine.h"
-#include "util/cpu_features.h"
-#include "util/murmur_hash.h"
 
 namespace apujoin::join {
 
 using simcl::DeviceId;
-using simcl::Phase;
-
-ShjEngine::ShjEngine(simcl::SimContext* ctx, const data::Relation* build,
-                     const data::Relation* probe, EngineOptions opts)
-    : ctx_(ctx), build_(build), probe_(probe), opts_(opts) {}
-
-apujoin::Status ShjEngine::ResolveKeyViews() {
-  const data::KeySchema schema = build_->key_schema;
-  if (probe_->key_schema != schema) {
-    return apujoin::Status::InvalidArgument(
-        "build and probe key schemas differ");
-  }
-  wide_ = data::KeyIsWide(schema);
-  r_view_ = KeyView{schema, build_->keys.data(), nullptr};
-  s_view_ = KeyView{schema, probe_->keys.data(), nullptr};
-  if (!wide_) return apujoin::Status::OK();
-
-  if (schema == data::KeySchema::kU64 ||
-      schema == data::KeySchema::kComposite) {
-    if (build_->key_hi.size() != build_->size() ||
-        probe_->key_hi.size() != probe_->size()) {
-      return apujoin::Status::InvalidArgument(
-          "wide key schema requires a key_hi column of matching length");
-    }
-    r_view_.hi = build_->key_hi.data();
-    s_view_.hi = probe_->key_hi.data();
-    return apujoin::Status::OK();
-  }
-
-  // DictString: canonicalize to (lo = low32(Murmur64(string)), hi =
-  // build-side dictionary code). The probe side translates its codes into
-  // the build code space once, per dictionary entry — hash-first lookup,
-  // exact string compare second — so the join kernels never touch strings.
-  const data::StringDict& bd = build_->dict;
-  const data::StringDict& pd = probe_->dict;
-  if (bd.strings.size() != bd.hashes.size() ||
-      pd.strings.size() != pd.hashes.size()) {
-    return apujoin::Status::InvalidArgument(
-        "dict-string relation with out-of-sync dictionary hashes");
-  }
-  std::unordered_multimap<uint64_t, int32_t> by_hash;
-  by_hash.reserve(bd.strings.size());
-  for (size_t c = 0; c < bd.strings.size(); ++c) {
-    by_hash.emplace(bd.hashes[c], static_cast<int32_t>(c));
-  }
-  std::vector<int32_t> xlat(pd.strings.size(), kNil);
-  for (size_t c = 0; c < pd.strings.size(); ++c) {
-    const auto range = by_hash.equal_range(pd.hashes[c]);
-    for (auto it = range.first; it != range.second; ++it) {
-      if (bd.strings[static_cast<size_t>(it->second)] == pd.strings[c]) {
-        xlat[c] = it->second;
-        break;
-      }
-    }
-  }
-  const uint64_t nb = build_->size();
-  const uint64_t np = probe_->size();
-  r_canon_lo_.resize(nb);
-  r_canon_hi_.resize(nb);
-  for (uint64_t i = 0; i < nb; ++i) {
-    const int32_t code = build_->keys[i];
-    if (code < 0 || static_cast<size_t>(code) >= bd.strings.size()) {
-      return apujoin::Status::InvalidArgument(
-          "dict-string build code out of dictionary range");
-    }
-    r_canon_lo_[i] = static_cast<int32_t>(
-        static_cast<uint32_t>(bd.hashes[static_cast<size_t>(code)]));
-    r_canon_hi_[i] = code;
-  }
-  s_canon_lo_.resize(np);
-  s_canon_hi_.resize(np);
-  for (uint64_t i = 0; i < np; ++i) {
-    const int32_t code = probe_->keys[i];
-    if (code < 0 || static_cast<size_t>(code) >= pd.strings.size()) {
-      return apujoin::Status::InvalidArgument(
-          "dict-string probe code out of dictionary range");
-    }
-    s_canon_lo_[i] = static_cast<int32_t>(
-        static_cast<uint32_t>(pd.hashes[static_cast<size_t>(code)]));
-    // Untranslatable probe strings keep hi = kNil (-1), which never equals
-    // a build code (>= 0): the probe cannot produce a false match.
-    s_canon_hi_[i] = xlat[static_cast<size_t>(code)];
-  }
-  r_view_.lo = r_canon_lo_.data();
-  r_view_.hi = r_canon_hi_.data();
-  s_view_.lo = s_canon_lo_.data();
-  s_view_.hi = s_canon_hi_.data();
-  return apujoin::Status::OK();
-}
 
 apujoin::Status ShjEngine::Prepare() {
-  const uint64_t nb = build_->size();
-  const uint64_t np = probe_->size();
-  if (nb == 0 || np == 0) {
+  if (build_->empty() || probe_->empty()) {
     return apujoin::Status::InvalidArgument("empty relation");
   }
-  if (apujoin::Status st = ResolveKeyViews(); !st.ok()) return st;
-  if (wide_ && !opts_.shared_table) {
-    return apujoin::Status::InvalidArgument(
-        "wide key schemas require shared_table (the separate-table merge "
-        "path is U32-only)");
-  }
-  const bool open = opts_.layout == exec::HashLayout::kOpenAddressing;
+  APU_RETURN_IF_ERROR(ResolveKeys());
   // A fused-select filter inserts only its survivors: size the table (and
-  // the pools below) from that count, exactly as an unfused plan would
-  // after materializing the filtered relation.
-  const uint64_t nb_live =
-      build_card_ != 0 ? std::min(build_card_, nb) : nb;
+  // the pools) from that count, exactly as an unfused plan would after
+  // materializing the filtered relation.
+  const uint64_t nb_live = LiveBuildTuples();
   if (opts_.num_buckets == 0) {
-    opts_.num_buckets = open ? OpenBucketsFor(nb_live) : NextPow2(nb_live);
+    opts_.num_buckets = opts_.layout == exec::HashLayout::kOpenAddressing
+                            ? OpenBucketsFor(nb_live)
+                            : NextPow2(nb_live);
   }
-  // The AVX2 bucket compare covers one 32-bit word per slot, so wide
-  // schemas fall back to the scalar two-word probe (per-schema, decided
-  // here — never per item inside a kernel).
-  use_avx2_ = opts_.simd != SimdPolicy::kScalar && CpuSupportsAvx2() && !wide_;
-
-  // Key nodes: one per distinct build key, plus slack for lost CAS races
-  // and stranded allocator blocks. Rid nodes: one per build tuple + slack.
-  // Separate tables need double headroom: the post-build merge re-allocates
-  // a fresh node for every entry it moves (exactly like the real kernel —
-  // nodes are never freed back into the pre-allocated array).
-  // The open layout keeps keys inline in its bucket arrays, so its key
-  // arena is vestigial — only the rid arena carries data.
-  const uint64_t merge_headroom = opts_.shared_table ? 0 : nb_live;
-  const uint64_t key_cap =
-      open ? 64
-           : nb_live + nb_live / 8 + merge_headroom +
-                 PoolSlack(nb_live, opts_.block_bytes, wide_ ? 16 : 12);
-  const uint64_t rid_cap =
-      nb_live + merge_headroom + PoolSlack(nb_live, opts_.block_bytes, 8);
-  pools_ = std::make_unique<NodePools>(key_cap, rid_cap, opts_.allocator,
-                                       opts_.block_bytes, wide_);
-  tables_.clear();
-  open_tables_.clear();
-  if (open) {
-    open_tables_.push_back(std::make_unique<OpenHashTable>(
-        opts_.num_buckets, pools_.get(), wide_));
-    if (!opts_.shared_table) {
-      open_tables_.push_back(std::make_unique<OpenHashTable>(
-          opts_.num_buckets, pools_.get(), wide_));
-    }
-    if (ctx_->cache() != nullptr) {
-      for (auto& t : open_tables_) t->set_cache(ctx_->cache());
-    }
-  } else {
-    tables_.push_back(
-        std::make_unique<HashTable>(opts_.num_buckets, pools_.get()));
-    if (!opts_.shared_table) {
-      tables_.push_back(
-          std::make_unique<HashTable>(opts_.num_buckets, pools_.get()));
-    }
-    if (ctx_->cache() != nullptr) {
-      for (auto& t : tables_) t->set_cache(ctx_->cache());
-    }
-  }
-
-  r_hash_.resize(nb);
-  r_bucket_.resize(nb);
-  r_keynode_.resize(nb);
-  s_hash_.resize(np);
-  s_bucket_.resize(np);
-  s_keynode_.resize(np);
-  s_count_.resize(np);
-  perm_.clear();
+  PrepareJoinState(nb_live);
+  tables_ = {};
+  WithTableType(opts_.layout, [this](auto table) {
+    auto* tables = &std::get<TableVec<typename decltype(table)::type>>(tables_);
+    AddTable(tables, opts_.num_buckets);
+    if (!opts_.shared_table) AddTable(tables, opts_.num_buckets);
+  });
   return apujoin::Status::OK();
 }
 
 double ShjEngine::TableWorkingSetBytes() const {
-  const double nb = static_cast<double>(
-      build_card_ != 0 ? std::min<uint64_t>(build_card_, build_->size())
-                       : build_->size());
+  const double nb = static_cast<double>(LiveBuildTuples());
   if (opts_.layout == exec::HashLayout::kOpenAddressing) {
     // Bucket arrays (72 B/bucket; +32 B for the wide secondary key-word
     // line) + one rid node per build tuple.
@@ -193,610 +43,41 @@ double ShjEngine::TableWorkingSetBytes() const {
          nb * (wide_ ? 16.0 : 12.0) + nb * 8.0;
 }
 
-std::vector<StepDef> ShjEngine::BuildSteps() {
-  if (opts_.layout == exec::HashLayout::kOpenAddressing) {
-    return wide_ ? BuildStepsOpenT<true>() : BuildStepsOpenT<false>();
-  }
-  return wide_ ? BuildStepsT<true>() : BuildStepsT<false>();
-}
-
-template <bool kWide>
-std::vector<StepDef> ShjEngine::BuildStepsT() {
-  const uint64_t n = build_->size();
-  const double ws = TableWorkingSetBytes();
-  std::vector<StepDef> steps;
-
-  // Column views captured once per step: the per-morsel calls below run
-  // tight loops over these raw pointers with no per-item dispatch. The
-  // backing vectors were sized in Prepare() and are stable from here on.
-  const KeyView rk = r_view_;
-  const int32_t* r_rids = build_->rids.data();
-  uint32_t* r_hash = r_hash_.data();
-  uint32_t* r_bucket = r_bucket_.data();
-  int32_t* r_keynode = r_keynode_.data();
-
-  const uint8_t* bf = build_filter_;
-
-  StepDef b1;
-  b1.name = "b1";
-  b1.profile = HashStepProfile(data::KeyBytes(rk.schema));
-  b1.items = n;
-  b1.run = [bf, rk, r_hash](const Morsel& m, DeviceId,
-                            uint32_t* lw) -> uint64_t {
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      // Fused-select dead lanes are never hashed (b3 checks the filter
-      // before reading the hash or bucket).
-      if (bf != nullptr && bf[i] == 0) continue;
-      if constexpr (kWide) {
-        r_hash[i] = MurmurHash2x8(data::PackKeyPair(rk.lo[i], rk.hi[i]));
-      } else {
-        r_hash[i] = MurmurHash2x4(static_cast<uint32_t>(rk.lo[i]));
-      }
-    }
-    return ConstantWork(lw, m);
-  };
-  steps.push_back(std::move(b1));
-
-  StepDef b2;
-  b2.name = "b2";
-  b2.profile = HeaderVisitProfile(static_cast<double>(opts_.num_buckets) * 8.0);
-  b2.items = n;
-  b2.run = [this, bf, r_hash, r_bucket](const Morsel& m, DeviceId dev,
-                                        uint32_t* lw) -> uint64_t {
-    HashTable* t = BuildTableFor(dev);
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      if (bf != nullptr && bf[i] == 0) continue;
-      r_bucket[i] = t->BucketOf(r_hash[i]);
-      t->VisitHeader(r_bucket[i]);
-    }
-    return ConstantWork(lw, m);
-  };
-  steps.push_back(std::move(b2));
-
-  StepDef b3;
-  b3.name = "b3";
-  b3.profile = KeyInsertProfile(ws, opts_.locality_boost);
-  b3.items = n;
-  b3.run = [this, bf, rk, r_bucket, r_keynode](
-               const Morsel& m, DeviceId dev, uint32_t* lw) -> uint64_t {
-    HashTable* t = BuildTableFor(dev);
-    uint64_t total = 0;
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      uint32_t work = 0;
-      if (bf != nullptr && bf[i] == 0) {
-        // Fused-select dead lane: the key is never inserted.
-        r_keynode[i] = kNil;
-      } else {
-        if constexpr (kWide) {
-          r_keynode[i] = t->FindOrAddKeyWide(r_bucket[i], rk.lo[i], rk.hi[i],
-                                             dev, WorkgroupOf(i), &work);
-        } else {
-          r_keynode[i] = t->FindOrAddKey(r_bucket[i], rk.lo[i], dev,
-                                         WorkgroupOf(i), &work);
-        }
-        if (r_keynode[i] == kNil) overflowed_ = true;
-      }
-      total += RecordWork(lw, m, i, work);
-    }
-    return total;
-  };
-  steps.push_back(std::move(b3));
-
-  StepDef b4;
-  b4.name = "b4";
-  b4.profile = RidInsertProfile(ws);
-  b4.items = n;
-  b4.run = [this, r_rids, r_bucket, r_keynode](const Morsel& m, DeviceId dev,
-                                               uint32_t* lw) -> uint64_t {
-    HashTable* t = BuildTableFor(dev);
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      if (r_keynode[i] == kNil) continue;
-      if (!t->InsertRid(r_keynode[i], r_rids[i], dev, WorkgroupOf(i))) {
-        overflowed_ = true;
-        continue;
-      }
-      t->BumpCount(r_bucket[i]);
-    }
-    return ConstantWork(lw, m);
-  };
-  steps.push_back(std::move(b4));
-  return steps;
-}
-
-std::vector<StepDef> ShjEngine::ProbeSteps(ResultWriter* out) {
-  if (opts_.layout == exec::HashLayout::kOpenAddressing) {
-    std::vector<StepDef> steps =
-        wide_ ? ProbeStepsCommonOpenT<true>() : ProbeStepsCommonOpenT<false>();
-    steps.push_back(MakeEmitStepOpen(out));
-    return steps;
-  }
-  std::vector<StepDef> steps =
-      wide_ ? ProbeStepsCommonT<true>() : ProbeStepsCommonT<false>();
-  steps.push_back(MakeEmitStep(out));
-  return steps;
-}
-
-std::vector<StepDef> ShjEngine::ProbeStepsFused(GroupByEngine* agg) {
-  if (opts_.layout == exec::HashLayout::kOpenAddressing) {
-    std::vector<StepDef> steps =
-        wide_ ? ProbeStepsCommonOpenT<true>() : ProbeStepsCommonOpenT<false>();
-    steps.push_back(MakeFusedAggStepOpen(agg));
-    return steps;
-  }
-  std::vector<StepDef> steps =
-      wide_ ? ProbeStepsCommonT<true>() : ProbeStepsCommonT<false>();
-  steps.push_back(MakeFusedAggStep(agg));
-  return steps;
-}
-
-template <bool kWide>
-std::vector<StepDef> ShjEngine::ProbeStepsCommonT() {
-  const uint64_t n = probe_->size();
-  const double ws = TableWorkingSetBytes();
-  std::vector<StepDef> steps;
-
-  const KeyView sk = s_view_;
-  uint32_t* s_hash = s_hash_.data();
-  uint32_t* s_bucket = s_bucket_.data();
-  int32_t* s_keynode = s_keynode_.data();
-  int32_t* s_count = s_count_.data();
-
-  const uint8_t* pf = probe_filter_;
-
-  StepDef p1;
-  p1.name = "p1";
-  p1.profile = HashStepProfile(data::KeyBytes(sk.schema));
-  p1.items = n;
-  p1.run = [pf, sk, s_hash](const Morsel& m, DeviceId,
-                            uint32_t* lw) -> uint64_t {
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      // Fused-select dead lanes are never hashed (p3 checks the filter
-      // before reading the hash or bucket).
-      if (pf != nullptr && pf[i] == 0) continue;
-      if constexpr (kWide) {
-        s_hash[i] = MurmurHash2x8(data::PackKeyPair(sk.lo[i], sk.hi[i]));
-      } else {
-        s_hash[i] = MurmurHash2x4(static_cast<uint32_t>(sk.lo[i]));
-      }
-    }
-    return ConstantWork(lw, m);
-  };
-  steps.push_back(std::move(p1));
-
-  StepDef p2;
-  p2.name = "p2";
-  p2.profile = HeaderVisitProfile(static_cast<double>(opts_.num_buckets) * 8.0);
-  p2.items = n;
-  p2.run = [this, pf, s_hash, s_bucket, s_count](const Morsel& m, DeviceId,
-                                                 uint32_t* lw) -> uint64_t {
-    HashTable* t = tables_[0].get();
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      if (pf != nullptr && pf[i] == 0) {
-        s_count[i] = 0;  // the grouping sort reads every lane's estimate
-        continue;
-      }
-      s_bucket[i] = t->BucketOf(s_hash[i]);
-      int32_t count = 0;
-      t->VisitHeader(s_bucket[i], &count);
-      s_count[i] = count;
-    }
-    return ConstantWork(lw, m);
-  };
-  p2.after = [this](uint64_t begin, uint64_t end) {
-    if (opts_.grouping) BuildProbePermutation(begin, end);
-  };
-  steps.push_back(std::move(p2));
-
-  StepDef p3;
-  p3.name = "p3";
-  p3.profile = KeySearchProfile(ws, opts_.locality_boost);
-  p3.items = n;
-  p3.run = [this, pf, sk, s_bucket, s_keynode](const Morsel& m, DeviceId,
-                                               uint32_t* lw) -> uint64_t {
-    // The grouping permutation is built by p2's after-hook, i.e. after this
-    // StepDef was created — resolve the view per morsel, not per step.
-    const uint32_t* perm = perm_.empty() ? nullptr : perm_.data();
-    HashTable* t = tables_[0].get();
-    uint64_t total = 0;
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      const uint64_t j = perm != nullptr ? perm[i] : i;
-      uint32_t work = 0;
-      if (pf != nullptr && pf[j] == 0) {
-        // Fused-select dead lane: the lookup never runs.
-        s_keynode[j] = kNil;
-      } else {
-        if constexpr (kWide) {
-          s_keynode[j] = t->FindKeyWide(s_bucket[j], sk.lo[j], sk.hi[j],
-                                        &work);
-        } else {
-          s_keynode[j] = t->FindKey(s_bucket[j], sk.lo[j], &work);
-        }
-      }
-      total += RecordWork(lw, m, i, work);
-    }
-    return total;
-  };
-  steps.push_back(std::move(p3));
-  return steps;
-}
-
-StepDef ShjEngine::MakeEmitStep(ResultWriter* out) {
-  const double ws = TableWorkingSetBytes();
-  const int32_t* s_keys = probe_->keys.data();
-  const int32_t* s_rids = probe_->rids.data();
-  int32_t* s_keynode = s_keynode_.data();
-
-  StepDef p4;
-  p4.name = "p4";
-  p4.profile = EmitProfile(ws, opts_.locality_boost);
-  p4.items = probe_->size();
-  p4.run = [this, out, s_rids, s_keys, s_keynode](
-               const Morsel& m, DeviceId dev, uint32_t* lw) -> uint64_t {
-    const uint32_t* perm = perm_.empty() ? nullptr : perm_.data();
-    const bool keyed = out->captures_keys();
-    HashTable* t = tables_[0].get();
-    uint64_t total = 0;
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      const uint64_t j = perm != nullptr ? perm[i] : i;
-      uint32_t work = 1;
-      if (s_keynode[j] != kNil) {
-        const int32_t srid = s_rids[j];
-        const uint32_t wg = WorkgroupOf(i);
-        const int32_t skey = s_keys[j];
-        work += t->ForEachRid(
-            s_keynode[j],
-            [this, out, keyed, skey, srid, dev, wg](int32_t brid) {
-              const bool ok = keyed ? out->Emit(skey, brid, srid, dev, wg)
-                                    : out->Emit(brid, srid, dev, wg);
-              if (!ok) overflowed_ = true;
-            });
-      }
-      total += RecordWork(lw, m, i, work);
-    }
-    return total;
-  };
-  return p4;
-}
-
-StepDef ShjEngine::MakeFusedAggStep(GroupByEngine* agg) {
-  const double ws = TableWorkingSetBytes();
-  const int32_t* s_keys = probe_->keys.data();
-  const int32_t* s_rids = probe_->rids.data();
-  int32_t* s_keynode = s_keynode_.data();
-
-  StepDef p4;
-  p4.name = "p4g";
-  p4.profile = FusedEmitAggProfile(ws, agg->TableWorkingSetBytes(),
-                                   opts_.locality_boost);
-  p4.items = probe_->size();
-  p4.run = [this, agg, s_rids, s_keys, s_keynode](
-               const Morsel& m, DeviceId, uint32_t* lw) -> uint64_t {
-    const uint32_t* perm = perm_.empty() ? nullptr : perm_.data();
-    HashTable* t = tables_[0].get();
-    uint64_t total = 0;
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      const uint64_t j = perm != nullptr ? perm[i] : i;
-      uint32_t work = 1;
-      if (s_keynode[j] != kNil) {
-        const int32_t srid = s_rids[j];
-        const int32_t skey = s_keys[j];
-        work += t->ForEachRid(s_keynode[j], [agg, skey, srid](int32_t) {
-          // The match streams into the aggregate table; the <build rid,
-          // probe rid> pair is never materialized.
-          agg->Accumulate(skey, static_cast<int64_t>(srid));
-        });
-      }
-      total += RecordWork(lw, m, i, work);
-    }
-    return total;
-  };
-  return p4;
-}
-
-void ShjEngine::BuildProbePermutation(uint64_t begin, uint64_t end) {
-  const uint64_t n = probe_->size();
-  if (perm_.size() != n) {
-    perm_.resize(n);
-    std::iota(perm_.begin(), perm_.end(), 0u);
-  }
-  end = std::min(end, n);
-  if (begin >= end) return;
-  // Sort the GPU range [begin, end) by the p2 workload estimate so each
-  // wavefront sees near-uniform work.
-  std::stable_sort(perm_.begin() + static_cast<int64_t>(begin),
-                   perm_.begin() + static_cast<int64_t>(end),
-                   [this](uint32_t a, uint32_t b) {
-                     return s_count_[a] < s_count_[b];
-                   });
-  // Two streaming passes (estimate + permute) charged to the GPU.
-  const double bytes = static_cast<double>(end - begin) * 8.0 * 2.0;
-  ctx_->log().Add(Phase::kGrouping,
-                  ctx_->memory().SequentialNs(
-                      ctx_->device(DeviceId::kGpu), bytes));
-}
-
-template <bool kWide>
-std::vector<StepDef> ShjEngine::BuildStepsOpenT() {
-  const uint64_t n = build_->size();
-  const double ws = TableWorkingSetBytes();
-  const uint32_t dist = opts_.prefetch_dist;
-  std::vector<StepDef> steps;
-
-  const KeyView rk = r_view_;
-  const int32_t* r_rids = build_->rids.data();
-  uint32_t* r_hash = r_hash_.data();
-  uint32_t* r_bucket = r_bucket_.data();
-  int32_t* r_keynode = r_keynode_.data();  // holds global slot ids here
-
-  const uint8_t* bf = build_filter_;
-
-  StepDef b1;
-  b1.name = "b1";
-  b1.profile = HashStepProfile(data::KeyBytes(rk.schema));
-  b1.items = n;
-  b1.run = [bf, rk, r_hash](const Morsel& m, DeviceId,
-                            uint32_t* lw) -> uint64_t {
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      // Fused-select dead lanes are never hashed (b3 checks the filter
-      // before reading the hash or bucket).
-      if (bf != nullptr && bf[i] == 0) continue;
-      if constexpr (kWide) {
-        r_hash[i] = MurmurHash2x8(data::PackKeyPair(rk.lo[i], rk.hi[i]));
-      } else {
-        r_hash[i] = MurmurHash2x4(static_cast<uint32_t>(rk.lo[i]));
-      }
-    }
-    return ConstantWork(lw, m);
-  };
-  steps.push_back(std::move(b1));
-
-  StepDef b2;
-  b2.name = "b2";
-  b2.profile = HeaderVisitProfile(static_cast<double>(opts_.num_buckets) * 4.0);
-  b2.items = n;
-  b2.run = [this, bf, r_hash, r_bucket](const Morsel& m, DeviceId dev,
-                                        uint32_t* lw) -> uint64_t {
-    OpenHashTable* t = OpenBuildTableFor(dev);
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      if (bf != nullptr && bf[i] == 0) continue;
-      r_bucket[i] = t->BucketOf(r_hash[i]);
-      t->VisitHeader(r_bucket[i]);
-    }
-    return ConstantWork(lw, m);
-  };
-  steps.push_back(std::move(b2));
-
-  StepDef b3;
-  b3.name = "b3";
-  b3.profile = OpenKeyInsertProfile(ws, opts_.locality_boost);
-  b3.items = n;
-  b3.run = [this, bf, dist, rk, r_bucket, r_keynode](
-               const Morsel& m, DeviceId dev, uint32_t* lw) -> uint64_t {
-    OpenHashTable* t = OpenBuildTableFor(dev);
-    uint64_t total = 0;
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      if (dist != 0 && i + dist < m.end) t->PrefetchBucket(r_bucket[i + dist]);
-      uint32_t work = 0;
-      if (bf != nullptr && bf[i] == 0) {
-        // Fused-select dead lane: the key is never inserted.
-        r_keynode[i] = kNil;
-      } else {
-        if constexpr (kWide) {
-          r_keynode[i] =
-              t->FindOrAddKeyWide(r_bucket[i], rk.lo[i], rk.hi[i], &work);
-        } else {
-          r_keynode[i] = t->FindOrAddKey(r_bucket[i], rk.lo[i], &work);
-        }
-        if (r_keynode[i] == kNil) overflowed_ = true;
-      }
-      total += RecordWork(lw, m, i, work);
-    }
-    return total;
-  };
-  steps.push_back(std::move(b3));
-
-  StepDef b4;
-  b4.name = "b4";
-  b4.profile = RidInsertProfile(ws);
-  b4.items = n;
-  b4.run = [this, r_rids, r_bucket, r_keynode](const Morsel& m, DeviceId dev,
-                                               uint32_t* lw) -> uint64_t {
-    OpenHashTable* t = OpenBuildTableFor(dev);
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      if (r_keynode[i] == kNil) continue;
-      if (!t->InsertRid(r_keynode[i], r_rids[i], dev, WorkgroupOf(i))) {
-        overflowed_ = true;
-        continue;
-      }
-      t->BumpCount(r_bucket[i]);
-    }
-    return ConstantWork(lw, m);
-  };
-  steps.push_back(std::move(b4));
-  return steps;
-}
-
-template <bool kWide>
-std::vector<StepDef> ShjEngine::ProbeStepsCommonOpenT() {
-  const uint64_t n = probe_->size();
-  const double ws = TableWorkingSetBytes();
-  const uint32_t dist = opts_.prefetch_dist;
-  const bool avx2 = use_avx2_;
-  std::vector<StepDef> steps;
-
-  const KeyView sk = s_view_;
-  uint32_t* s_hash = s_hash_.data();
-  uint32_t* s_bucket = s_bucket_.data();
-  int32_t* s_keynode = s_keynode_.data();
-  int32_t* s_count = s_count_.data();
-
-  const uint8_t* pf = probe_filter_;
-
-  StepDef p1;
-  p1.name = "p1";
-  p1.profile = HashStepProfile(data::KeyBytes(sk.schema));
-  p1.items = n;
-  p1.run = [pf, sk, s_hash](const Morsel& m, DeviceId,
-                            uint32_t* lw) -> uint64_t {
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      // Fused-select dead lanes are never hashed (p3 checks the filter
-      // before reading the hash or bucket).
-      if (pf != nullptr && pf[i] == 0) continue;
-      if constexpr (kWide) {
-        s_hash[i] = MurmurHash2x8(data::PackKeyPair(sk.lo[i], sk.hi[i]));
-      } else {
-        s_hash[i] = MurmurHash2x4(static_cast<uint32_t>(sk.lo[i]));
-      }
-    }
-    return ConstantWork(lw, m);
-  };
-  steps.push_back(std::move(p1));
-
-  StepDef p2;
-  p2.name = "p2";
-  p2.profile = HeaderVisitProfile(static_cast<double>(opts_.num_buckets) * 4.0);
-  p2.items = n;
-  p2.run = [this, pf, s_hash, s_bucket, s_count](const Morsel& m, DeviceId,
-                                                 uint32_t* lw) -> uint64_t {
-    OpenHashTable* t = open_tables_[0].get();
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      if (pf != nullptr && pf[i] == 0) {
-        s_count[i] = 0;  // the grouping sort reads every lane's estimate
-        continue;
-      }
-      s_bucket[i] = t->BucketOf(s_hash[i]);
-      int32_t count = 0;
-      t->VisitHeader(s_bucket[i], &count);
-      s_count[i] = count;
-    }
-    return ConstantWork(lw, m);
-  };
-  p2.after = [this](uint64_t begin, uint64_t end) {
-    if (opts_.grouping) BuildProbePermutation(begin, end);
-  };
-  steps.push_back(std::move(p2));
-
-  StepDef p3;
-  p3.name = "p3";
-  p3.profile = OpenKeySearchProfile(ws, opts_.locality_boost);
-  p3.items = n;
-  p3.run = [this, pf, dist, avx2, sk, s_bucket, s_keynode](
-               const Morsel& m, DeviceId, uint32_t* lw) -> uint64_t {
-    const uint32_t* perm = perm_.empty() ? nullptr : perm_.data();
-    OpenHashTable* t = open_tables_[0].get();
-    uint64_t total = 0;
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      const uint64_t j = perm != nullptr ? perm[i] : i;
-      if (dist != 0 && i + dist < m.end) {
-        t->PrefetchBucket(s_bucket[perm != nullptr ? perm[i + dist]
-                                                   : i + dist]);
-      }
-      uint32_t work = 0;
-      if (pf != nullptr && pf[j] == 0) {
-        // Fused-select dead lane: the lookup never runs.
-        s_keynode[j] = kNil;
-      } else {
-        if constexpr (kWide) {
-          // Wide keys probe the scalar two-word path; the AVX2 one-word
-          // compare was ruled out per-schema in Prepare().
-          static_cast<void>(avx2);
-          s_keynode[j] = t->FindKeyWide(s_bucket[j], sk.lo[j], sk.hi[j],
-                                        &work);
-        } else {
-          s_keynode[j] = t->FindKey(s_bucket[j], sk.lo[j], &work, avx2);
-        }
-      }
-      total += RecordWork(lw, m, i, work);
-    }
-    return total;
-  };
-  steps.push_back(std::move(p3));
-  return steps;
-}
-
-StepDef ShjEngine::MakeEmitStepOpen(ResultWriter* out) {
-  const double ws = TableWorkingSetBytes();
-  const int32_t* s_keys = probe_->keys.data();
-  const int32_t* s_rids = probe_->rids.data();
-  int32_t* s_keynode = s_keynode_.data();
-
-  StepDef p4;
-  p4.name = "p4";
-  p4.profile = EmitProfile(ws, opts_.locality_boost);
-  p4.items = probe_->size();
-  p4.run = [this, out, s_rids, s_keys, s_keynode](
-               const Morsel& m, DeviceId dev, uint32_t* lw) -> uint64_t {
-    const uint32_t* perm = perm_.empty() ? nullptr : perm_.data();
-    const bool keyed = out->captures_keys();
-    OpenHashTable* t = open_tables_[0].get();
-    uint64_t total = 0;
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      const uint64_t j = perm != nullptr ? perm[i] : i;
-      uint32_t work = 1;
-      if (s_keynode[j] != kNil) {
-        const int32_t srid = s_rids[j];
-        const uint32_t wg = WorkgroupOf(i);
-        const int32_t skey = s_keys[j];
-        work += t->ForEachRid(
-            s_keynode[j],
-            [this, out, keyed, skey, srid, dev, wg](int32_t brid) {
-              const bool ok = keyed ? out->Emit(skey, brid, srid, dev, wg)
-                                    : out->Emit(brid, srid, dev, wg);
-              if (!ok) overflowed_ = true;
-            });
-      }
-      total += RecordWork(lw, m, i, work);
-    }
-    return total;
-  };
-  return p4;
-}
-
-StepDef ShjEngine::MakeFusedAggStepOpen(GroupByEngine* agg) {
-  const double ws = TableWorkingSetBytes();
-  const int32_t* s_keys = probe_->keys.data();
-  const int32_t* s_rids = probe_->rids.data();
-  int32_t* s_keynode = s_keynode_.data();
-
-  StepDef p4;
-  p4.name = "p4g";
-  p4.profile = FusedEmitAggProfile(ws, agg->TableWorkingSetBytes(),
-                                   opts_.locality_boost);
-  p4.items = probe_->size();
-  p4.run = [this, agg, s_rids, s_keys, s_keynode](
-               const Morsel& m, DeviceId, uint32_t* lw) -> uint64_t {
-    const uint32_t* perm = perm_.empty() ? nullptr : perm_.data();
-    OpenHashTable* t = open_tables_[0].get();
-    uint64_t total = 0;
-    for (uint64_t i = m.begin; i < m.end; ++i) {
-      const uint64_t j = perm != nullptr ? perm[i] : i;
-      uint32_t work = 1;
-      if (s_keynode[j] != kNil) {
-        const int32_t srid = s_rids[j];
-        const int32_t skey = s_keys[j];
-        work += t->ForEachRid(s_keynode[j], [agg, skey, srid](int32_t) {
-          // The match streams into the aggregate table; the <build rid,
-          // probe rid> pair is never materialized.
-          agg->Accumulate(skey, static_cast<int64_t>(srid));
-        });
-      }
-      total += RecordWork(lw, m, i, work);
-    }
-    return total;
-  };
-  return p4;
+std::vector<StepDef> ShjEngine::Steps(bool build, ResultWriter* out,
+                                      GroupByEngine* agg) {
+  const data::Relation& r = build_keys();
+  const data::Relation& s = probe_keys();
+  JoinColumns c;
+  c.build_items = build_->size();
+  c.build_keys = KeyView{r.key_schema, r.keys.data(), r.key_hi.data()};
+  c.build_rids = build_->rids.data();
+  c.build_filter = build_filter_;
+  c.probe_items = probe_->size();
+  c.probe_keys = KeyView{s.key_schema, s.keys.data(), s.key_hi.data()};
+  c.probe_rids = probe_->rids.data();
+  c.emit_keys = probe_->keys.data();
+  c.probe_filter = probe_filter_;
+  // SHJ buckets are addressed by the unshifted hash; a header visit touches
+  // one 8-byte chained header or one 4-byte open state word per bucket.
+  c.hash_shift = 0;
+  c.header_bytes =
+      static_cast<double>(opts_.num_buckets) *
+      (opts_.layout == exec::HashLayout::kOpenAddressing ? 4.0 : 8.0);
+  c.table_bytes = TableWorkingSetBytes();
+  return Series(build, c, out, agg, [this](auto table) {
+    return SingleTable(
+        std::get<TableVec<typename decltype(table)::type>>(tables_));
+  });
 }
 
 std::pair<uint64_t, uint64_t> ShjEngine::MergeSeparateTables() {
   if (opts_.shared_table) return {0, 0};
-  if (opts_.layout == exec::HashLayout::kOpenAddressing) {
-    if (open_tables_.size() < 2) return {0, 0};
-    // SHJ buckets are addressed by the unshifted hash.
-    return open_tables_[0]->MergeFrom(*open_tables_[1], /*shift=*/0,
-                                      DeviceId::kCpu);
-  }
-  if (tables_.size() < 2) return {0, 0};
-  return tables_[0]->MergeFrom(*tables_[1], DeviceId::kCpu);
+  return WithTableType(opts_.layout, [this](auto table) {
+    const auto& tables =
+        std::get<TableVec<typename decltype(table)::type>>(tables_);
+    if (tables.size() < 2) return std::pair<uint64_t, uint64_t>{0, 0};
+    return tables[0]->MergeFrom(*tables[1], /*shift=*/0, DeviceId::kCpu);
+  });
 }
 
 }  // namespace apujoin::join

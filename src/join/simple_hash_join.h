@@ -9,11 +9,12 @@
 #ifndef APUJOIN_JOIN_SIMPLE_HASH_JOIN_H_
 #define APUJOIN_JOIN_SIMPLE_HASH_JOIN_H_
 
-#include <atomic>
-#include <memory>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "data/relation.h"
+#include "join/hash_join_kernels.h"
 #include "join/hash_table.h"
 #include "join/open_hash_table.h"
 #include "join/options.h"
@@ -26,12 +27,14 @@ namespace apujoin::join {
 
 class GroupByEngine;
 
-/// SHJ build/probe kernels + state. One engine instance per join execution.
-class ShjEngine {
+/// SHJ setup, sizing and merge over the shared kernel family
+/// (hash_join_kernels.h). One engine instance per join execution.
+class ShjEngine : public HashJoinEngineBase {
  public:
   /// `build`/`probe` must outlive the engine.
   ShjEngine(simcl::SimContext* ctx, const data::Relation* build,
-            const data::Relation* probe, EngineOptions opts);
+            const data::Relation* probe, EngineOptions opts)
+      : HashJoinEngineBase(ctx, build, probe, opts) {}
 
   /// Allocates pools, tables and intermediate arrays.
   apujoin::Status Prepare();
@@ -40,47 +43,47 @@ class ShjEngine {
   /// build (resp. probe) relation — every kernel skips dead lanes (their
   /// key is never hashed, looked up, or inserted) at zero work units.
   /// Null (the default) disables filtering; set before the series are
-  /// built.
+  /// built. Pair a build filter with set_build_cardinality() so the table
+  /// is sized for the survivors, not the full relation.
   void set_build_filter(const uint8_t* flags) { build_filter_ = flags; }
   void set_probe_filter(const uint8_t* flags) { probe_filter_ = flags; }
 
-  /// Number of live build lanes under `build_filter` (the fused select's
-  /// survivor count). Prepare() sizes the hash table and node pools from
-  /// it, so a fused plan gets the same table an unfused plan would build
-  /// from the materialized filtered relation — without the hint the table
-  /// is sized for the full relation and a selective filter leaves the
-  /// probe walking a sparse, cache-hostile bucket array. 0 (the default)
-  /// means unfiltered; set before Prepare().
-  void set_build_cardinality(uint64_t n) { build_card_ = n; }
-
   /// The build step series b1..b4 over |R| items.
-  std::vector<StepDef> BuildSteps();
+  std::vector<StepDef> BuildSteps() { return Steps(true, nullptr, nullptr); }
 
   /// The probe step series p1..p4 over |S| items, emitting into `out`.
-  std::vector<StepDef> ProbeSteps(ResultWriter* out);
+  std::vector<StepDef> ProbeSteps(ResultWriter* out) {
+    return Steps(false, out, nullptr);
+  }
 
   /// Fused HashJoin→GroupBy edges: p1..p3 plus a fused probe+aggregate
   /// step (p4g) that folds every match into `agg` instead of emitting
   /// result pairs. `agg` must be PrepareFused()-sized and outlive the run.
-  std::vector<StepDef> ProbeStepsFused(GroupByEngine* agg);
+  std::vector<StepDef> ProbeStepsFused(GroupByEngine* agg) {
+    return Steps(false, nullptr, agg);
+  }
 
   /// Separate-table mode: merge the GPU table into the CPU table after the
   /// build (the paper's merge overhead). Returns {keys, rids} moved.
   std::pair<uint64_t, uint64_t> MergeSeparateTables();
 
-  HashTable* table(int i = 0) { return tables_[i].get(); }
+  HashTable* table(int i = 0) {
+    return std::get<TableVec<HashTable>>(tables_)[i].get();
+  }
   /// Open-layout table (nullptr under the chained layout).
   OpenHashTable* open_table(int i = 0) {
-    return i < static_cast<int>(open_tables_.size()) ? open_tables_[i].get()
-                                                     : nullptr;
+    const auto& open = std::get<TableVec<OpenHashTable>>(tables_);
+    return i < static_cast<int>(open.size()) ? open[i].get() : nullptr;
+  }
+  /// The probe-side table of the configured layout class `Table`.
+  template <class Table>
+  Table* layout_table() const {
+    return std::get<TableVec<Table>>(tables_).front().get();
   }
   int num_tables() const {
-    return static_cast<int>(opts_.layout == exec::HashLayout::kChained
-                                ? tables_.size()
-                                : open_tables_.size());
+    return static_cast<int>(std::get<0>(tables_).size() +
+                            std::get<1>(tables_).size());
   }
-  NodePools& pools() { return *pools_; }
-  const EngineOptions& options() const { return opts_; }
   /// Hash-table capacity as the cost model sees it: chained bucket count,
   /// or total key slots under the open layout.
   uint64_t CostModelBuckets() const {
@@ -88,90 +91,18 @@ class ShjEngine {
                ? opts_.num_buckets
                : uint64_t{opts_.num_buckets} * kOpenSlotsPerBucket;
   }
-  /// True when the probe kernels take the AVX2 bucket-compare path.
-  bool probe_uses_avx2() const { return use_avx2_; }
-
-  /// True if any kernel hit arena exhaustion.
-  bool overflowed() const {
-    return overflowed_.load(std::memory_order_relaxed);
-  }
 
   /// Estimated hash-table working set (bytes), used in step profiles.
   double TableWorkingSetBytes() const;
 
-  /// The workload-divergence grouping permutation used in p3/p4 (empty =
-  /// identity); exposed for tests.
-  const std::vector<uint32_t>& probe_permutation() const { return perm_; }
-
-  /// Key schema shared by both relations (validated in Prepare()).
-  data::KeySchema key_schema() const { return build_->key_schema; }
-
  private:
-  void BuildProbePermutation(uint64_t begin, uint64_t end);
+  std::vector<StepDef> Steps(bool build, ResultWriter* out,
+                             GroupByEngine* agg);
 
-  /// Canonicalizes dict-string key columns into engine-owned (lo, hi)
-  /// word arrays and resolves the kernel key views for every schema.
-  apujoin::Status ResolveKeyViews();
-
-  // Kernel factories, templated on key width: the schema dispatch happens
-  // here — at StepDef-construction scope — so each kernel body is one
-  // branch-free instantiation (narrow U32, or wide two-word canonical).
-  template <bool kWide>
-  std::vector<StepDef> BuildStepsT();
-  template <bool kWide>
-  std::vector<StepDef> BuildStepsOpenT();
-  /// p1..p3 shared by the emitting and fused probe series (per layout).
-  template <bool kWide>
-  std::vector<StepDef> ProbeStepsCommonT();
-  template <bool kWide>
-  std::vector<StepDef> ProbeStepsCommonOpenT();
-  StepDef MakeEmitStep(ResultWriter* out);
-  StepDef MakeEmitStepOpen(ResultWriter* out);
-  StepDef MakeFusedAggStep(GroupByEngine* agg);
-  StepDef MakeFusedAggStepOpen(GroupByEngine* agg);
-
-  /// Table a build kernel on `dev` inserts into: the shared table, or the
-  /// device's private table in separate mode.
-  HashTable* BuildTableFor(simcl::DeviceId dev) {
-    return (opts_.shared_table || dev == simcl::DeviceId::kCpu)
-               ? tables_[0].get()
-               : tables_.back().get();
-  }
-  OpenHashTable* OpenBuildTableFor(simcl::DeviceId dev) {
-    return (opts_.shared_table || dev == simcl::DeviceId::kCpu)
-               ? open_tables_[0].get()
-               : open_tables_.back().get();
-  }
-
-  simcl::SimContext* ctx_;
-  const data::Relation* build_;
-  const data::Relation* probe_;
-  EngineOptions opts_;
   const uint8_t* build_filter_ = nullptr;  // fused-select vector (or null)
   const uint8_t* probe_filter_ = nullptr;
-  uint64_t build_card_ = 0;  // live build lanes under the filter (0 = all)
-
-  std::unique_ptr<NodePools> pools_;
-  std::vector<std::unique_ptr<HashTable>> tables_;
-  std::vector<std::unique_ptr<OpenHashTable>> open_tables_;
-  bool use_avx2_ = false;  // resolved from opts_.simd in Prepare()
-  bool wide_ = false;      // KeyIsWide(key_schema()), resolved in Prepare()
-  std::atomic<bool> overflowed_{false};  // kernels may set it concurrently
-
-  // Canonical key views the kernels capture: U32/U64/composite views point
-  // straight at the relation columns; dict-string views point at the
-  // canonical arrays below (lo = low32(Murmur64(string)), hi = build-side
-  // dictionary code, probe codes translated at Prepare()).
-  KeyView r_view_, s_view_;
-  std::vector<int32_t> r_canon_lo_, r_canon_hi_;
-  std::vector<int32_t> s_canon_lo_, s_canon_hi_;
-
-  // Per-tuple intermediate state (the "pipeline registers" between steps).
-  std::vector<uint32_t> r_hash_, s_hash_;
-  std::vector<uint32_t> r_bucket_, s_bucket_;
-  std::vector<int32_t> r_keynode_, s_keynode_;
-  std::vector<int32_t> s_count_;  // p2 workload estimate (grouping input)
-  std::vector<uint32_t> perm_;    // probe grouping permutation
+  // The one table ([0]), plus the GPU's private table in separate mode.
+  LayoutTables tables_;
 };
 
 }  // namespace apujoin::join

@@ -125,7 +125,8 @@ TEST_F(HashTableTest, MergeEqualBucketTables) {
     ASSERT_NE(node, kNil);
     ASSERT_TRUE(other.InsertRid(node, k, DeviceId::kGpu, 0));
   }
-  const auto [keys, rids] = table_.MergeFrom(other, DeviceId::kCpu);
+  const auto [keys, rids] =
+      table_.MergeFrom(other, /*shift=*/0, DeviceId::kCpu);
   EXPECT_EQ(keys, 50u);
   EXPECT_EQ(rids, 50u);
   for (int32_t k = 0; k < 50; ++k) {
@@ -142,7 +143,7 @@ TEST_F(HashTableTest, MergeDifferentBucketCounts) {
         other.FindOrAddKey(b, k * 2 + 1, DeviceId::kGpu, 0, &work);
     ASSERT_TRUE(other.InsertRid(node, 100 + k, DeviceId::kGpu, 0));
   }
-  table_.MergeFrom(other, DeviceId::kCpu);
+  table_.MergeFrom(other, /*shift=*/0, DeviceId::kCpu);
   for (int32_t k = 0; k < 30; ++k) {
     const auto rids = Lookup(k * 2 + 1);
     ASSERT_EQ(rids.size(), 1u);
@@ -157,7 +158,7 @@ TEST_F(HashTableTest, MergePreservesExistingEntries) {
   uint32_t work = 0;
   const int32_t node = other.FindOrAddKey(b, 1, DeviceId::kGpu, 0, &work);
   other.InsertRid(node, 20, DeviceId::kGpu, 0);
-  table_.MergeFrom(other, DeviceId::kCpu);
+  table_.MergeFrom(other, /*shift=*/0, DeviceId::kCpu);
   EXPECT_EQ(table_.keys_inserted(), 1u);  // key 1 deduplicated
   EXPECT_EQ(Lookup(1).size(), 2u);
 }

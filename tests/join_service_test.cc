@@ -11,6 +11,7 @@
 #include "coproc/pipeline_runner.h"
 #include "coproc/ratio_tuner.h"
 #include "exec/thread_pool_backend.h"
+#include "per_item_kernel.h"
 #include "util/perf_asserts.h"
 #include "service/join_service.h"
 

@@ -278,8 +278,9 @@ TEST(LayoutParity, OpenSimdProbeBeatsChained) {
     ASSERT_NE(node, join::kNil);
     chained.InsertRid(node, static_cast<int32_t>(k), simcl::DeviceId::kCpu, 0);
     work = 0;
-    const int32_t slot = open.FindOrAddKey(
-        open.BucketOf(MurmurHash2x4(2 * k + 1)), key, &work);
+    const int32_t slot =
+        open.FindOrAddKey(open.BucketOf(MurmurHash2x4(2 * k + 1)), key,
+                          simcl::DeviceId::kCpu, 0, &work);
     ASSERT_NE(slot, join::kNil);
     open.InsertRid(slot, static_cast<int32_t>(k), simcl::DeviceId::kCpu, 0);
   }

@@ -15,6 +15,7 @@
 #include "data/generator.h"
 #include "exec/thread_pool_backend.h"
 #include "join/reference_join.h"
+#include "per_item_kernel.h"
 
 namespace apujoin::exec {
 namespace {

@@ -28,7 +28,7 @@ class OpenHashTableTest : public ::testing::Test {
   void Insert(int32_t key, int32_t rid) {
     const uint32_t b = BucketFor(key);
     uint32_t work = 0;
-    const int32_t slot = table_.FindOrAddKey(b, key, &work);
+    const int32_t slot = table_.FindOrAddKey(b, key, DeviceId::kCpu, 0, &work);
     ASSERT_NE(slot, kNil);
     ASSERT_TRUE(table_.InsertRid(slot, rid, DeviceId::kCpu, 0));
     table_.BumpCount(b);
@@ -100,7 +100,8 @@ TEST_F(OpenHashTableTest, WorkCountsBucketsProbed) {
   // the next bucket, so finding it probes 2 buckets.
   for (int32_t k = 0; k < 9; ++k) {
     uint32_t work = 0;
-    ASSERT_NE(table_.FindOrAddKey(3, 1000 + k, &work), kNil);
+    ASSERT_NE(table_.FindOrAddKey(3, 1000 + k, DeviceId::kCpu, 0, &work),
+              kNil);
   }
   uint32_t work = 0;
   EXPECT_NE(table_.FindKey(3, 1008, &work, false), kNil);
@@ -125,7 +126,7 @@ TEST_F(OpenHashTableTest, TableFullReturnsNil) {
   for (int32_t k = 0; k < 20; ++k) {
     uint32_t work = 0;
     if (tiny.FindOrAddKey(tiny.BucketOf(MurmurHash2x4(k + 1)), k + 1,
-                          &work) != kNil) {
+                          DeviceId::kCpu, 0, &work) != kNil) {
       ++inserted;
     }
   }
@@ -143,7 +144,7 @@ TEST_F(OpenHashTableTest, MergeRecomputesDisplacedHomes) {
     const int32_t key = k * 2 + 1;
     const uint32_t b = other.BucketOf(MurmurHash2x4(static_cast<uint32_t>(key)));
     uint32_t work = 0;
-    const int32_t slot = other.FindOrAddKey(b, key, &work);
+    const int32_t slot = other.FindOrAddKey(b, key, DeviceId::kGpu, 0, &work);
     ASSERT_NE(slot, kNil);
     ASSERT_TRUE(other.InsertRid(slot, 100 + k, DeviceId::kGpu, 0));
   }
@@ -163,7 +164,8 @@ TEST_F(OpenHashTableTest, MergePreservesExistingEntries) {
   OpenHashTable other(64, &pools_);
   uint32_t work = 0;
   const int32_t slot =
-      other.FindOrAddKey(other.BucketOf(MurmurHash2x4(1)), 1, &work);
+      other.FindOrAddKey(other.BucketOf(MurmurHash2x4(1)), 1, DeviceId::kGpu,
+                         0, &work);
   other.InsertRid(slot, 20, DeviceId::kGpu, 0);
   table_.MergeFrom(other, /*shift=*/0, DeviceId::kCpu);
   EXPECT_EQ(table_.keys_inserted(), 1u);  // key 1 deduplicated
@@ -192,7 +194,8 @@ TEST_F(OpenHashTableTest, ConcurrentInsertsDeduplicate) {
         const uint32_t b =
             table.BucketOf(MurmurHash2x4(static_cast<uint32_t>(key)));
         uint32_t work = 0;
-        const int32_t slot = table.FindOrAddKey(b, key, &work);
+        const int32_t slot =
+            table.FindOrAddKey(b, key, DeviceId::kCpu, 0, &work);
         ASSERT_NE(slot, kNil);
         ASSERT_TRUE(table.InsertRid(slot, t * kKeys + k, DeviceId::kCpu,
                                     static_cast<uint32_t>(t)));

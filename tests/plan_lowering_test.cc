@@ -1,10 +1,10 @@
-// Plan lowering: (1) the legacy single-join entry points are now thin shims
-// over the plan pipeline, and a hand-built one-HashJoin PlanSpec must
-// reproduce their reports bit-identically — same matches, same virtual
-// elapsed time, same per-phase breakdown, same step series (names, ratios,
-// item splits) — across algorithms, schemes, layouts and table modes; and
-// (2) plan validation rejects every malformed tree with a real
-// InvalidArgument naming the node path, never an assert.
+// Plan lowering: (1) MakeSingleJoinPlan — the lowering of a workload plus
+// JoinSpec that replaced the legacy single-join entry point — and a
+// hand-built one-HashJoin PlanSpec must produce bit-identical reports —
+// same matches, same virtual elapsed time, same per-phase breakdown, same
+// step series (names, ratios, item splits) — across algorithms, schemes,
+// layouts and table modes; and (2) plan validation rejects every malformed
+// tree with a real InvalidArgument naming the node path, never an assert.
 
 #include <gtest/gtest.h>
 
@@ -18,10 +18,6 @@
 #include "exec/backend_kind.h"
 #include "plan/plan.h"
 #include "util/status.h"
-
-// The shims under test are deprecated on purpose; this file is their
-// remaining legitimate caller.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace apujoin::coproc {
 namespace {
@@ -113,8 +109,8 @@ TEST(PlanLoweringParity, ShimMatchesHandBuiltPlan) {
     spec.engine.shared_table = c.shared_table;
 
     simcl::SimContext ctx_a;
-    auto legacy = ExecuteJoin(&ctx_a, w, spec);
-    ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+    auto lowered = ExecutePlan(&ctx_a, MakeSingleJoinPlan(w, spec));
+    ASSERT_TRUE(lowered.ok()) << lowered.status().ToString();
 
     PlanSpec plan;
     const int b = plan.graph.AddScan(&w.build);
@@ -128,8 +124,8 @@ TEST(PlanLoweringParity, ShimMatchesHandBuiltPlan) {
     auto planned = ExecutePlan(&ctx_b, plan);
     ASSERT_TRUE(planned.ok()) << planned.status().ToString();
 
-    ExpectReportsIdentical(*legacy, *planned);
-    EXPECT_EQ(legacy->matches, w.expected_matches);
+    ExpectReportsIdentical(*lowered, *planned);
+    EXPECT_EQ(lowered->matches, w.expected_matches);
     // The plan path additionally reports the one lowered operator.
     ASSERT_EQ(planned->operators.size(), 1u);
     EXPECT_EQ(planned->operators[0].kind, "join");
@@ -146,8 +142,8 @@ TEST(PlanLoweringParity, SkewedWorkloadMatches) {
   spec.scheme = Scheme::kPipelined;
 
   simcl::SimContext ctx_a;
-  auto legacy = ExecuteJoin(&ctx_a, w, spec);
-  ASSERT_TRUE(legacy.ok());
+  auto lowered = ExecutePlan(&ctx_a, MakeSingleJoinPlan(w, spec));
+  ASSERT_TRUE(lowered.ok());
 
   const PlanSpec plan = MakeSingleJoinPlan(w, spec);
   EXPECT_EQ(plan.expected_matches, w.expected_matches);
@@ -155,7 +151,7 @@ TEST(PlanLoweringParity, SkewedWorkloadMatches) {
   simcl::SimContext ctx_b;
   auto planned = ExecutePlan(&ctx_b, plan);
   ASSERT_TRUE(planned.ok());
-  ExpectReportsIdentical(*legacy, *planned);
+  ExpectReportsIdentical(*lowered, *planned);
 }
 
 // The emulated-discrete restrictions must carry over to the plan path.
@@ -169,12 +165,12 @@ TEST(PlanLoweringParity, DiscreteModeMatchesAndKeepsRestrictions) {
   spec.scheme = Scheme::kDataDivide;
 
   simcl::SimContext ctx_a(copts);
-  auto legacy = ExecuteJoin(&ctx_a, w, spec);
-  ASSERT_TRUE(legacy.ok());
+  auto lowered = ExecutePlan(&ctx_a, MakeSingleJoinPlan(w, spec));
+  ASSERT_TRUE(lowered.ok());
   simcl::SimContext ctx_b(copts);
   auto planned = ExecutePlan(&ctx_b, MakeSingleJoinPlan(w, spec));
   ASSERT_TRUE(planned.ok());
-  ExpectReportsIdentical(*legacy, *planned);
+  ExpectReportsIdentical(*lowered, *planned);
 
   spec.scheme = Scheme::kPipelined;
   simcl::SimContext ctx_c(copts);

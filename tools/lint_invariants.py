@@ -52,7 +52,12 @@ Rules (over src/ unless stated otherwise):
                   construction scope (templated kernel bodies, one
                   instantiation per schema); a per-item schema branch
                   re-introduces exactly the mispredicted inner-loop
-                  dispatch the typed-key refactor removed. Compile-time
+                  dispatch the typed-key refactor removed. The same holds
+                  for the hash-table layout: no runtime `if`/`switch` whose
+                  condition names HashLayout / kChained / kOpenAddressing /
+                  layout — SHJ, PHJ and multiway kernels are instantiated
+                  per table class (hash_join_kernels.h), so a layout branch
+                  in a body means a hand copy crept back. Compile-time
                   `if constexpr` (e.g. on a kWide template parameter) is
                   allowed — it leaves no branch in the instantiation.
 
@@ -210,6 +215,10 @@ KERNEL_LAMBDA_RE = re.compile(r"\.run\s*=\s*\[")
 SCHEMA_TOKENS = re.compile(
     r"\bKeySchema\b|\bkey_schema\b|\bKeyIsWide\s*\(|"
     r"\bkU32\b|\bkU64\b|\bkComposite\b|\bkDictString\b")
+# Tokens that identify a hash-table layout condition (`layout` also matches
+# `opts_.layout` / `options().layout`).
+LAYOUT_TOKENS = re.compile(
+    r"\bHashLayout\b|\bkChained\b|\bkOpenAddressing\b|\blayout\b")
 BRANCH_RE = re.compile(r"\b(if|switch)\s*\(")
 IF_CONSTEXPR_RE = re.compile(r"\bif\s+constexpr\b")
 
@@ -239,6 +248,14 @@ def check_kernel_no_schema_branch(path, lines, errors):
                     f"opened at line {i + 1}) — dispatch on KeySchema at "
                     f"StepDef construction scope (one instantiation per "
                     f"schema, `if constexpr` on a template flag), never "
+                    f"per item: {lines[j].strip()}")
+            if LAYOUT_TOKENS.search(cond):
+                errors.append(
+                    f"{rel(path)}:{j + 1}: runtime branch on the hash-table "
+                    f"layout inside a MorselKernel body (`.run = [...]` "
+                    f"lambda opened at line {i + 1}) — instantiate the "
+                    f"kernel per table class at StepDef construction scope "
+                    f"(WithKernelTypes in join/hash_join_kernels.h), never "
                     f"per item: {lines[j].strip()}")
 
 
