@@ -97,7 +97,7 @@ const ParityCase kParityCases[] = {
 
 // Every legacy fig-path shape must lower to the identical step series and
 // report through a hand-built one-HashJoin PlanSpec.
-TEST(PlanLoweringParity, ShimMatchesHandBuiltPlan) {
+TEST(PlanLoweringParity, SingleJoinPlanMatchesHandBuiltPlan) {
   for (const ParityCase& c : kParityCases) {
     SCOPED_TRACE(c.name);
     const data::Workload w = MakeWorkload();
