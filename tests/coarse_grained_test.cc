@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+
 #include "coproc/pipeline_runner.h"
 #include "coproc/coarse_grained.h"
 
@@ -60,6 +64,31 @@ TEST(CoarseGrainedTest, MoreCacheMissesThanFineGrained) {
   const double coarse_ratio = static_cast<double>(coarse->l2_misses) /
                               static_cast<double>(coarse->l2_accesses);
   EXPECT_GT(coarse_ratio, fine_ratio * 1.15);
+}
+
+std::string Hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+TEST(CoarseGrainedTest, SimFingerprintPinned) {
+  // Hexfloat-exact virtual-time fingerprint of the coarse lowering (the
+  // partition passes plus the pair-join sweep), recorded before the
+  // partition-pass loop was shared with the out-of-core executor.
+  const data::Workload w = MakeWorkload(1 << 12);
+  simcl::SimContext ctx;
+  JoinSpec spec;
+  spec.engine.partitions = 16;
+  auto report = ExecuteCoarsePhj(&ctx, w, spec);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->elapsed_ns,
+            std::strtod("0x1.4954315323e52p+19", nullptr))
+      << "now " << Hex(report->elapsed_ns);
+  EXPECT_EQ(report->estimated_ns,
+            std::strtod("0x1.0811d161be224p+19", nullptr))
+      << "now " << Hex(report->estimated_ns);
+  EXPECT_EQ(report->matches, 4096u);
 }
 
 TEST(CoarseGrainedTest, PairRatioReported) {

@@ -8,9 +8,14 @@
 // not reach — U64 keys, separate per-device tables, divergence grouping and
 // fused select->join->group-by on the open layout, each per algorithm — are
 // pinned the same way to fingerprints recorded before the SHJ/PHJ kernels
-// were merged into one template family; and (3) every wide schema (U64,
-// Composite, DictString) reproduces the reference oracle's exact match
-// count across both algorithms and both hash-table layouts.
+// were merged into one template family; (3) the driver lowerings no other
+// pin reaches — data dividing on the emulated discrete architecture (PCI-e
+// transfers, separate-table merge, result transfer back), offloading,
+// BasicUnit, and the unfused select->join->group-by — are pinned to
+// fingerprints recorded before the driver's phases were collapsed onto one
+// stage protocol; and (4) every wide schema (U64, Composite, DictString)
+// reproduces the reference oracle's exact match count across both
+// algorithms and both hash-table layouts.
 
 #include <gtest/gtest.h>
 
@@ -61,8 +66,9 @@ std::string AlgoLayoutName(const std::string& prefix, Algorithm algo,
          (layout == HashLayout::kChained ? "/chained" : "/open");
 }
 
-JoinReport MustRun(const PlanSpec& plan) {
-  simcl::SimContext ctx;
+JoinReport MustRun(const PlanSpec& plan,
+                   simcl::ContextOptions copts = simcl::ContextOptions()) {
+  simcl::SimContext ctx(copts);
   auto report = ExecutePlan(&ctx, plan);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   return std::move(report).value();
@@ -80,9 +86,11 @@ struct Pin {
 };
 
 // Recorded at these exact workloads/specs: the first eight from the
-// pre-KeySchema lowering, the rest from the per-engine kernels that predate
-// the shared hash-join kernel family. Hexfloats round-trip exactly through
-// strtod, so the comparison below is equality of the doubles' bit patterns.
+// pre-KeySchema lowering, the next fourteen from the per-engine kernels that
+// predate the shared hash-join kernel family, the rest from the per-phase
+// driver lowering that predates the shared stage protocol. Hexfloats
+// round-trip exactly through strtod, so the comparison below is equality of
+// the doubles' bit patterns.
 constexpr Pin kPins[] = {
     {"join/shj/chained", "0x1.5945ee43d5148p+18", "0x1.42b31b512442p+18",
      16384ull},
@@ -134,6 +142,20 @@ constexpr Pin kPins[] = {
      "0x1.5e7c3ec318e91p+18", 8206ull},
     {"select-join-groupby/phj/open", "0x1.6c989a2764983p+18",
      "0x1.a094b0b60232ap+18", 8206ull},
+    {"discrete-dd/shj", "0x1.5c324b81b7deap+19",
+     "0x1.50c804a81c017p+19", 16384ull},
+    {"discrete-dd/phj", "0x1.da05e20aed9cdp+19",
+     "0x1.9a00c8fccd16ap+19", 16384ull},
+    {"offload/shj", "0x1.a84547024c8cep+18",
+     "0x1.85e9fbb701419p+18", 16384ull},
+    {"basic-unit/shj", "0x1.ab33bdcae228p+19",
+     "0x1.8bb1d54290c2p+18", 16384ull},
+    {"basic-unit/phj", "0x1.5f0531f2acdb7p+20",
+     "0x1.ceb53bc9d0ca3p+18", 16384ull},
+    {"select-join-groupby/shj/unfused", "0x1.23b19246f6b17p+20",
+     "0x1.8629a1c5f0e13p+18", 8206ull},
+    {"select-join-groupby/phj/unfused", "0x1.3855bb4c1819dp+20",
+     "0x1.c1a60853c2d69p+18", 8206ull},
 };
 
 const Pin& FindPin(const std::string& name) {
@@ -270,6 +292,59 @@ TEST(KeySchemaParityTest, FusedSelectJoinGroupByOpenBitIdentical) {
     ASSERT_EQ(plan.exec.engine.fuse, exec::FuseMode::kAuto);
     ExpectPinned(AlgoLayoutName("select-join-groupby", algo,
                                 HashLayout::kOpenAddressing),
+                 MustRun(plan));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Driver-lowering pins: the scheme, architecture and fusion paths of the
+// plan driver that the single-join pins above do not reach
+// ---------------------------------------------------------------------------
+
+std::string AlgoName(const std::string& prefix, Algorithm algo) {
+  return prefix + (algo == Algorithm::kSHJ ? "/shj" : "/phj");
+}
+
+TEST(KeySchemaParityTest, DiscreteDataDividingBitIdentical) {
+  // The discrete architecture forces separate tables: the GPU's input
+  // share crosses PCI-e per phase, its partial table crosses back before
+  // the merge, and its share of the result pairs crosses back at the end.
+  const data::Workload w = MustWorkload(42);
+  simcl::ContextOptions copts;
+  copts.arch = simcl::ArchMode::kDiscreteEmulated;
+  for (Algorithm algo : {Algorithm::kSHJ, Algorithm::kPHJ}) {
+    JoinSpec spec = MakeSpec(algo, HashLayout::kChained);
+    spec.scheme = Scheme::kDataDivide;
+    ExpectPinned(AlgoName("discrete-dd", algo),
+                 MustRun(MakeSingleJoinPlan(w, spec), copts));
+  }
+}
+
+TEST(KeySchemaParityTest, OffloadBitIdentical) {
+  const data::Workload w = MustWorkload(42);
+  JoinSpec spec = MakeSpec(Algorithm::kSHJ, HashLayout::kChained);
+  spec.scheme = Scheme::kOffload;
+  ExpectPinned("offload/shj", MustRun(MakeSingleJoinPlan(w, spec)));
+}
+
+TEST(KeySchemaParityTest, BasicUnitBitIdentical) {
+  const data::Workload w = MustWorkload(42);
+  for (Algorithm algo : {Algorithm::kSHJ, Algorithm::kPHJ}) {
+    JoinSpec spec = MakeSpec(algo, HashLayout::kChained);
+    spec.scheme = Scheme::kBasicUnit;
+    ExpectPinned(AlgoName("basic-unit", algo),
+                 MustRun(MakeSingleJoinPlan(w, spec)));
+  }
+}
+
+TEST(KeySchemaParityTest, UnfusedSelectJoinGroupByBitIdentical) {
+  // --fuse=off: the select materializes its survivors (f1 + f2) and the
+  // group-by rescans the join's result pairs (g1).
+  const data::Workload w = MustWorkload(42);
+  for (Algorithm algo : {Algorithm::kSHJ, Algorithm::kPHJ}) {
+    PlanSpec plan = SelectJoinGroupByPlan(w, algo, HashLayout::kChained);
+    plan.exec.engine.fuse = exec::FuseMode::kOff;
+    ExpectPinned(AlgoName("select-join-groupby", algo) + "/unfused",
                  MustRun(plan));
   }
 }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+
 #include "coproc/out_of_core.h"
 #include "exec/backend_kind.h"
 
@@ -189,6 +193,51 @@ TEST(OutOfCoreTest, PipelinedSimOverlapsCopyBehindCompute) {
               pipe->partition_ns + pipe->join_ns + pipe->copy_ns -
                   pipe->overlap_ns,
               1e-6);
+}
+
+std::string Hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+double FromHex(const char* hex) { return std::strtod(hex, nullptr); }
+
+TEST(OutOfCoreTest, SimFingerprintsPinned) {
+  // Hexfloat-exact virtual-time fingerprints of the chunked executor under
+  // both streaming policies, recorded before the partition-pass loop was
+  // shared with the coarse-grained PHJ.
+  struct Pin {
+    exec::StreamMode stream;
+    const char* elapsed_hex;
+    const char* partition_hex;
+    const char* join_hex;
+  };
+  const Pin pins[] = {
+      {exec::StreamMode::kSerial, "0x1.17effdce65eedp+21",
+       "0x1.6d5fc752c5869p+19", "0x1.66e6f3611ff5bp+20"},
+      {exec::StreamMode::kPipelined, "0x1.12cc6b85415c8p+21",
+       "0x1.6d5fc752c5869p+19", "0x1.66e6f3611ff5bp+20"},
+  };
+  const data::Workload w = MakeWorkload(1 << 14);
+  simcl::ContextOptions copts;
+  copts.memory.zero_copy_bytes = 64.0 * 1024;
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(exec::StreamModeName(pin.stream));
+    simcl::SimContext ctx(copts);
+    OutOfCoreSpec spec;
+    spec.chunk_tuples = 1 << 12;
+    spec.inner.engine.stream = pin.stream;
+    auto report = ExecuteOutOfCore(&ctx, w, spec);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->elapsed_ns, FromHex(pin.elapsed_hex))
+        << "now " << Hex(report->elapsed_ns);
+    EXPECT_EQ(report->partition_ns, FromHex(pin.partition_hex))
+        << "now " << Hex(report->partition_ns);
+    EXPECT_EQ(report->join_ns, FromHex(pin.join_hex))
+        << "now " << Hex(report->join_ns);
+    EXPECT_EQ(report->matches, w.expected_matches);
+  }
 }
 
 TEST(OutOfCoreTest, PipelinedThreadsBackendAgreesWithOracle) {
