@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "cost/calibration.h"
-#include "cost/optimizer.h"
 #include "alloc/latch_model.h"
 #include "join/partitioned_hash_join.h"
 #include "join/simple_hash_join.h"
@@ -107,9 +106,6 @@ StatusOr<JoinReport> ExecuteCoarsePhj(exec::Backend* backend,
   const uint64_t cache_miss0 = ctx->cache() ? ctx->cache()->misses() : 0;
   JoinReport report;
 
-  cost::CommSpec comm;
-  comm.bandwidth_gbps = ctx->memory().spec().total_bandwidth_gbps;
-
   // ---- partition both relations (same machinery as fine-grained PHJ) ----
   join::PhjEngine engine(ctx, &workload.build, &workload.probe, spec.engine);
   APU_RETURN_IF_ERROR(engine.Prepare());
@@ -123,23 +119,14 @@ StatusOr<JoinReport> ExecuteCoarsePhj(exec::Backend* backend,
   stats.match_rate = static_cast<double>(workload.expected_matches) /
                      static_cast<double>(np);
 
-  for (int side = 0; side < 2; ++side) {
-    join::RadixPartitioner* part = side == 0 ? engine.build_partitioner()
-                                             : engine.probe_partitioner();
-    const uint64_t n = side == 0 ? nb : np;
-    for (int pass = 0; pass < part->passes(); ++pass) {
-      part->BeginPass(pass);
-      std::vector<StepDef> steps = part->PassSteps(pass);
-      const cost::StepCosts costs = cost::CalibrateSeries(*ctx, steps, stats);
-      const cost::RatioPlan plan = cost::OptimizeDataDividing(costs, n, comm);
-      SeriesOptions opts;
-      opts.ratios = plan.ratios;
-      opts.drain_alloc = [part]() { return part->TakeCounts(); };
-      const SeriesResult res = RunSeries(backend, steps, opts);
-      ctx->log().Add(Phase::kPartition, res.elapsed_ns);
-      report.lock_ns += res.lock_ns;
-      part->EndPass(pass);
-    }
+  for (join::RadixPartitioner* part :
+       {engine.build_partitioner(), engine.probe_partitioner()}) {
+    const uint64_t n = part == engine.build_partitioner() ? nb : np;
+    RunPartitionPasses(backend, part, n, stats,
+                       [&](const SeriesResult& res) {
+                         ctx->log().Add(Phase::kPartition, res.elapsed_ns);
+                         report.lock_ns += res.lock_ns;
+                       });
   }
 
   // ---- coarse join phase: one work item per partition pair ----

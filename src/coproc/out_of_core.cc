@@ -6,7 +6,6 @@
 
 #include "coproc/pipeline_runner.h"
 #include "cost/calibration.h"
-#include "cost/optimizer.h"
 #include "join/radix_partition.h"
 
 namespace apujoin::coproc {
@@ -71,9 +70,6 @@ StatusOr<double> PartitionOneChunk(exec::Backend* backend,
                                    std::vector<data::Relation>* out,
                                    OutOfCoreReport* report) {
   simcl::SimContext* ctx = backend->context();
-  cost::CommSpec comm;
-  comm.bandwidth_gbps = ctx->memory().spec().total_bandwidth_gbps;
-
   join::RadixPlan plan = join::RadixPlan::Make(
       chunk.size(), chunk.size(), ctx->memory().spec().l2_bytes, opts);
   join::RadixPartitioner part(ctx, &chunk, plan, opts);
@@ -84,20 +80,11 @@ StatusOr<double> PartitionOneChunk(exec::Backend* backend,
   stats.buckets = parts;
   stats.distinct_keys = static_cast<double>(chunk.size());
   double series_ns = 0.0;
-  for (int pass = 0; pass < part.passes(); ++pass) {
-    part.BeginPass(pass);
-    std::vector<StepDef> steps = part.PassSteps(pass);
-    const cost::StepCosts costs = cost::CalibrateSeries(*ctx, steps, stats);
-    const cost::RatioPlan rp =
-        cost::OptimizeDataDividing(costs, chunk.size(), comm);
-    SeriesOptions sopts;
-    sopts.ratios = rp.ratios;
-    sopts.drain_alloc = [&part]() { return part.TakeCounts(); };
-    const SeriesResult res = RunSeries(backend, steps, sopts);
-    report->partition_ns += res.elapsed_ns;
-    series_ns += res.elapsed_ns;
-    part.EndPass(pass);
-  }
+  RunPartitionPasses(backend, &part, chunk.size(), stats,
+                     [&](const SeriesResult& res) {
+                       report->partition_ns += res.elapsed_ns;
+                       series_ns += res.elapsed_ns;
+                     });
   // Copy the intermediate partitions out to system memory: one bulk append
   // per contiguous partition range (they are contiguous in the
   // partitioner's output by construction).

@@ -7,6 +7,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -30,6 +31,8 @@ using simcl::DeviceId;
 using simcl::Phase;
 
 namespace {
+
+using Drain = std::function<alloc::AllocCounts()>;
 
 // ---------------------------------------------------------------------------
 // Ratio resolution
@@ -89,9 +92,44 @@ StatusOr<std::vector<double>> ResolveRatios(
 }
 
 // ---------------------------------------------------------------------------
-// Driver state shared by every operator of a plan
+// The stage protocol
 // ---------------------------------------------------------------------------
 
+/// One co-processed step series of a plan — a partition pass, a build, a
+/// probe, a selection, an aggregation. Every operator lowers to stages, and
+/// every stage goes through the same protocol: Driver::Plan calibrates it,
+/// resolves its per-step ratios and prices the cost-model estimate;
+/// Driver::Run moves the GPU's input share over PCI-e (discrete
+/// architecture), executes the series and absorbs its step reports.
+struct Stage {
+  Stage(std::string label_in, Phase phase_in, std::vector<StepDef> steps_in)
+      : label(std::move(label_in)),
+        phase(phase_in),
+        steps(std::move(steps_in)) {}
+
+  std::string label;  ///< StepReport::phase of the stage's steps
+  Phase phase;        ///< EventLog bucket of the stage's time
+  std::vector<StepDef> steps;
+  /// P+1 partition-pair boundaries (the PHJ join phase): the series runs
+  /// pair by pair instead of once across all items. Null = one pass.
+  const std::vector<uint32_t>* pair_offsets = nullptr;
+  /// Width of the input tuples whose GPU share crosses PCI-e before the
+  /// stage on the discrete architecture; 0 = the input is already resident.
+  double input_bytes_per_item = 0.0;
+
+  // Set by Driver::Plan.
+  uint64_t n = 0;  ///< series input size the cost model sees
+  cost::StepCosts costs;
+  std::vector<double> ratios;
+  double estimate_ns = 0.0;  ///< cost-model series time at `ratios`
+  // Set by Driver::Run.
+  double transfer_ns = 0.0;  ///< PCI-e input delay before the GPU starts
+  double elapsed_ns = 0.0;   ///< phase time logged for the stage
+};
+
+/// Driver state shared by every operator of a plan. The operator runners
+/// lower onto Stages and add their stages' estimate terms to estimated_ns
+/// themselves, in the order each lowering has always summed them.
 struct Driver {
   exec::Backend* backend;
   simcl::SimContext* ctx;
@@ -113,51 +151,88 @@ struct Driver {
     return backend->kind() != exec::BackendKind::kSim;
   }
 
-  /// Calibrates a step series analytically, then overlays measured unit
-  /// costs from previous runs when the caller supplied a table — the
-  /// feedback loop that lets the ratio optimizers converge from analytic
-  /// guesses to hardware-true costs over repeated joins.
-  cost::StepCosts Calibrate(const std::vector<StepDef>& steps,
-                            const cost::WorkloadStats& stats) const {
-    cost::StepCosts costs = cost::CalibrateSeries(*ctx, steps, stats);
+  /// Plans `st` over `n` input items. Calibration is analytic, overlaid
+  /// with measured unit costs from previous runs when the caller supplied
+  /// a table — the feedback loop that lets the ratio optimizers converge
+  /// from analytic guesses to hardware-true costs over repeated joins. A
+  /// valid `override_ratios` wins over the scheme's optimizer.
+  Status Plan(Stage* st, const char* which, const cost::WorkloadStats& stats,
+              uint64_t n, const std::vector<double>& override_ratios) {
+    st->n = n;
+    st->costs = cost::CalibrateSeries(*ctx, st->steps, stats);
     // Cross-session measurements first, the session's own on top: the
     // session overrides the pool wherever it has run the step itself.
     if (spec.shared_costs != nullptr) {
-      costs = spec.shared_costs->Refine(costs);
+      st->costs = spec.shared_costs->Refine(st->costs);
     }
     if (spec.measured_costs != nullptr) {
-      costs = spec.measured_costs->Refine(costs);
+      st->costs = spec.measured_costs->Refine(st->costs);
     }
-    return costs;
+    auto ratios = ResolveRatios(which, spec.scheme, st->costs, n, comm,
+                                override_ratios);
+    if (!ratios.ok()) return ratios.status();
+    st->ratios = std::move(*ratios);
+    st->estimate_ns =
+        cost::EstimateSeries(st->costs, n, st->ratios, comm).elapsed_ns;
+    return Status::OK();
   }
 
-  /// Transfer of the GPU's input share over PCI-e in discrete mode; returns
-  /// the delay before the GPU can start this phase.
-  double PhaseInputTransfer(const std::vector<double>& ratios,
-                            uint64_t items, double bytes_per_item) {
-    if (!ctx->discrete() || ratios.empty()) return 0.0;
-    const double gpu_share = 1.0 - ratios.front();
-    if (gpu_share <= 0.0) return 0.0;
-    const double bytes = gpu_share * static_cast<double>(items) *
-                         bytes_per_item;
-    return ctx->TransferToDevice(bytes);
-  }
-
-  /// Runs one series under `scheme` with resolved `ratios`, logs phase time
-  /// and collects step reports. `gpu_start_delay` shifts the GPU (PCI-e
-  /// input transfer in discrete mode).
-  StatusOr<SeriesResult> RunPhase(
-      const std::string& phase_name, Phase phase,
-      std::vector<StepDef>& steps, const cost::StepCosts& costs,
-      const std::vector<double>& ratios,
-      const std::function<alloc::AllocCounts()>& drain,
-      double gpu_start_delay,
-      const std::vector<uint32_t>* pair_offsets = nullptr) {
+  /// Runs planned stages under the spec's scheme. One stage runs as one
+  /// series — pair-blocked over its pair_offsets when set, chunk-scheduled
+  /// under BasicUnit. Several stages run pair-blocked together: partition
+  /// pair p runs every stage before pair p+1 starts (Algorithm 2 applies
+  /// SHJ to each pair in turn, so a pair's table stays L2-resident across
+  /// build AND probe — the fine-grained cache reuse of Table 3). Result
+  /// pairs dropped meanwhile are charged to the last absorbed step, the
+  /// only one that emits.
+  void Run(const std::vector<Stage*>& stages, const Drain& drain) {
     const uint64_t dropped0 = writer != nullptr ? writer->dropped() : 0;
-    SeriesResult res;
+    for (Stage* st : stages) {
+      // The GPU's input share crosses PCI-e first (0 on the coupled
+      // architecture and for resident inputs).
+      st->transfer_ns = ctx->TransferToDevice(
+          (1.0 - st->ratios.front()) * static_cast<double>(st->n) *
+          st->input_bytes_per_item);
+    }
+    const std::vector<SeriesResult> results = Execute(stages, drain);
+    for (size_t i = 0; i < stages.size(); ++i) {
+      Stage* st = stages[i];
+      const SeriesResult& res = results[i];
+      st->elapsed_ns = res.elapsed_ns;
+      if (st->transfer_ns > 0.0) {
+        // The modeled PCI-e transfer overlaps the CPU lane on the simulated
+        // machine; under real execution the lanes ran sequentially, so the
+        // (still modeled) transfer simply serializes in front.
+        st->elapsed_ns =
+            real_execution()
+                ? res.elapsed_ns + st->transfer_ns
+                : std::max(res.cpu_ns, st->transfer_ns + res.gpu_ns) +
+                      res.comm_ns;
+      }
+      ctx->log().Add(st->phase, st->elapsed_ns);
+      AbsorbStepReports(st->label, res, st->costs);
+    }
+    if (writer != nullptr && !report.steps.empty()) {
+      report.steps.back().dropped += writer->dropped() - dropped0;
+    }
+  }
+
+  /// Plan, then Run, for a stage that runs on its own.
+  Status PlanAndRun(Stage* st, const char* which,
+                    const cost::WorkloadStats& stats, uint64_t n,
+                    const std::vector<double>& override_ratios,
+                    const Drain& drain) {
+    APU_RETURN_IF_ERROR(Plan(st, which, stats, n, override_ratios));
+    Run({st}, drain);
+    return Status::OK();
+  }
+
+  std::vector<SeriesResult> Execute(const std::vector<Stage*>& stages,
+                                    const Drain& drain) {
+    Stage& first = *stages.front();
     if (spec.scheme == Scheme::kBasicUnit) {
       BasicUnitOptions bu;
-      const uint64_t n = steps.front().items;
+      const uint64_t n = first.steps.front().items;
       bu.cpu_chunk = spec.bu_cpu_chunk != 0
                          ? spec.bu_cpu_chunk
                          : std::max<uint64_t>(8192, n / 256);
@@ -165,7 +240,8 @@ struct Driver {
           spec.bu_gpu_chunk != 0 ? spec.bu_gpu_chunk : bu.cpu_chunk * 4;
       bu.drain_alloc = drain;
       double eff_ratio = 0.0;
-      res = RunSeriesBasicUnit(backend, steps, bu, &eff_ratio);
+      SeriesResult res =
+          RunSeriesBasicUnit(backend, first.steps, bu, &eff_ratio);
       // Report the effective (scheduled) ratio on every step.
       for (auto& s : res.steps) {
         const double tot = static_cast<double>(s.stats.items[0]) +
@@ -173,39 +249,24 @@ struct Driver {
         s.ratio = tot > 0.0 ? static_cast<double>(s.stats.items[0]) / tot
                             : eff_ratio;
       }
-    } else {
-      SeriesOptions opts;
-      opts.ratios = ratios;
-      opts.drain_alloc = drain;
-      res = pair_offsets != nullptr
-                ? RunSeriesPairBlocked(backend, steps, opts, *pair_offsets)
-                : RunSeries(backend, steps, opts);
+      return {std::move(res)};
     }
-    double elapsed = res.elapsed_ns;
-    if (gpu_start_delay > 0.0) {
-      // The modeled PCI-e transfer overlaps the CPU lane on the simulated
-      // machine; under real execution the lanes ran sequentially, so the
-      // (still modeled) transfer simply serializes in front.
-      elapsed = real_execution()
-                    ? res.elapsed_ns + gpu_start_delay
-                    : std::max(res.cpu_ns, gpu_start_delay + res.gpu_ns) +
-                          res.comm_ns;
+    SeriesOptions opts;
+    opts.drain_alloc = drain;
+    if (first.pair_offsets == nullptr) {
+      opts.ratios = first.ratios;
+      return {RunSeries(backend, first.steps, opts)};
     }
-    ctx->log().Add(phase, elapsed);
-    AbsorbStepReports(phase_name, res, costs);
-    if (writer != nullptr && !report.steps.empty()) {
-      // Drops can only come from this phase's emitting step (the last one).
-      report.steps.back().dropped += writer->dropped() - dropped0;
+    std::vector<PairSeriesGroup> groups(stages.size());
+    for (size_t i = 0; i < stages.size(); ++i) {
+      groups[i].steps = &stages[i]->steps;
+      groups[i].ratios = stages[i]->ratios;
+      groups[i].offsets = stages[i]->pair_offsets;
     }
-    return res;
-  }
-
-  /// Logs a series result that was executed outside RunPhase (the joined
-  /// pair-blocked PHJ join phase).
-  void AbsorbSeries(const std::string& phase_name, Phase phase,
-                    const SeriesResult& res, const cost::StepCosts& costs) {
-    ctx->log().Add(phase, res.elapsed_ns);
-    AbsorbStepReports(phase_name, res, costs);
+    RunSeriesPairBlockedGroups(backend, groups, opts);
+    std::vector<SeriesResult> results;
+    for (PairSeriesGroup& g : groups) results.push_back(std::move(g.result));
+    return results;
   }
 
   void AbsorbStepReports(const std::string& phase_name,
@@ -231,6 +292,15 @@ struct Driver {
       }
       report.steps.push_back(std::move(sr));
     }
+  }
+
+  void AddOperator(std::string path, plan::NodeKind kind, double elapsed_ns,
+                   uint64_t input_rows, uint64_t output_rows,
+                   bool fused = false) {
+    report.operators.push_back(OperatorReport{std::move(path),
+                                              plan::NodeKindName(kind),
+                                              elapsed_ns, input_rows,
+                                              output_rows, fused});
   }
 
   /// Merges separate per-device tables and returns the merge time: wall
@@ -276,341 +346,222 @@ std::string NodePath(const plan::Graph& g, int idx) {
 
 alloc::AllocCounts NoAlloc() { return alloc::AllocCounts{}; }
 
+/// The per-step allocator drain of a join's series: its result writer plus
+/// every node pool its hash tables allocate from.
+Drain JoinDrain(join::ResultWriter& writer,
+                std::vector<join::NodePools*> pools) {
+  return [&writer, pools = std::move(pools)]() {
+    alloc::AllocCounts c = writer.TakeCounts();
+    for (join::NodePools* p : pools) c += p->TakeCounts();
+    return c;
+  };
+}
+
 // ---------------------------------------------------------------------------
-// Operator runners. Each appends its step reports / phase times / operator
-// entry to the shared Driver and its estimate to drv.estimated_ns.
+// Operator runners. Each lowers its node onto stages and appends its step
+// reports, phase times, operator entry and estimate terms to the Driver.
 // ---------------------------------------------------------------------------
 
-/// The legacy single-join flow: calibration, ratio resolution,
-/// build/partition/probe series, discrete transfers, separate-table merge.
-/// `expected_matches` and `skew_fraction` play the roles the workload's
-/// fields played before plans existed.
-///
-/// Fusion hooks: `build_filter`/`probe_filter` (null = none) are fused
-/// Select selection vectors — SHJ kernels skip dead lanes positionally, PHJ
-/// pushes them into pass 0 of the radix partitioners. `fused_agg` (null =
-/// emit pairs) swaps the emitting probe step for the fused probe+aggregate
-/// step p4g, which streams matches into the group-by accumulators. With all
-/// three null the lowering is the PR 8 flow bit-for-bit.
-Status RunHashJoinOp(Driver& drv, const data::Relation& build,
-                     const data::Relation& probe, join::ResultWriter& writer,
-                     const uint8_t* build_filter, const uint8_t* probe_filter,
-                     uint64_t build_survivors, join::GroupByEngine* fused_agg,
-                     uint64_t expected_matches, double skew_fraction,
-                     const std::string& op_path) {
+/// A join operator's inputs. `build_filter`/`probe_filter` (null = none)
+/// are fused Select selection vectors — SHJ kernels skip dead lanes
+/// positionally, PHJ pushes them into pass 0 of the radix partitioners.
+/// `fused_agg` (null = emit pairs) swaps the emitting probe step for the
+/// fused probe+aggregate step p4g, which streams matches into the group-by
+/// accumulators. With all three null the lowering is the unfused flow
+/// bit-for-bit.
+struct JoinInputs {
+  const data::Relation& build;
+  const data::Relation& probe;
+  join::ResultWriter& writer;
+  const uint8_t* build_filter;
+  const uint8_t* probe_filter;
+  uint64_t build_survivors;
+  join::GroupByEngine* fused_agg;
+};
+
+/// SHJ (Algorithm 1) and PHJ (Algorithm 2) as one lowering: PHJ is radix
+/// partition passes followed by SHJ's own build → merge → probe flow over
+/// the partition pairs. The build and probe are planned together; then
+/// either both run pair-blocked (PHJ with a shared table), or the build
+/// runs, separate per-device tables merge (the GPU's partial table
+/// crossing PCI-e first on the discrete architecture), the probe runs, and
+/// the GPU's share of the result pairs crosses back.
+template <class Engine>
+Status RunHashJoin(Driver& drv, const JoinInputs& in,
+                   cost::WorkloadStats stats) {
+  constexpr bool kPhj = std::is_same_v<Engine, join::PhjEngine>;
   simcl::SimContext* ctx = drv.ctx;
   const JoinSpec& spec = drv.spec;
-  const uint64_t nb = build.size();
-  const uint64_t np = probe.size();
   // Input tuples move at their schema's width (key + rid: 8 B for U32,
   // 12 B for wide pairs); the comm spec the ratio optimizers see prices
   // inter-device traffic the same way. Result pairs stay 8 B — they are
   // (build rid, probe rid) regardless of key schema.
-  const double tuple_bytes = data::TupleBytes(build.key_schema);
+  const double tuple_bytes = data::TupleBytes(in.build.key_schema);
   drv.comm.bytes_per_item = tuple_bytes;
   // Live build rows the engine will actually insert — the survivor count
   // when a fused select filters the build side. Sizing hash tables, radix
   // plans, and the cost model from it keeps the fused data structures
   // identical to what the unfused plan builds from the materialized copy.
-  const uint64_t nb_live = build_filter != nullptr ? build_survivors : nb;
-  const double elapsed0 = ctx->log().TotalNs();
-  const uint64_t count0 = writer.count();
+  const uint64_t nb_live =
+      in.build_filter != nullptr ? in.build_survivors : in.build.size();
 
-  cost::WorkloadStats stats;
-  stats.build_tuples = nb;
-  stats.probe_tuples = np;
-  stats.match_rate = static_cast<double>(expected_matches) /
-                     static_cast<double>(np);
-  stats.skew_fraction = skew_fraction;
+  Engine engine(ctx, &in.build, &in.probe, spec.engine);
+  engine.set_build_cardinality(nb_live);
+  APU_RETURN_IF_ERROR(engine.Prepare());
+  // PHJ runs fused selections inside pass 0 of the partitioners; every
+  // later pass and the whole join phase see only the compacted survivors.
+  engine.set_build_filter(in.build_filter);
+  engine.set_probe_filter(in.probe_filter);
+  // Chained bucket count, or total key slots under the open layout — the
+  // calibration occupancy alpha divides distinct keys by this.
+  stats.buckets = static_cast<double>(engine.CostModelBuckets());
+  stats.distinct_keys = static_cast<double>(nb_live);
 
-  if (spec.algorithm == Algorithm::kSHJ) {
-    join::ShjEngine engine(ctx, &build, &probe, spec.engine);
-    engine.set_build_cardinality(nb_live);
-    APU_RETURN_IF_ERROR(engine.Prepare());
-    engine.set_build_filter(build_filter);
-    engine.set_probe_filter(probe_filter);
-    // Chained bucket count, or total key slots under the open layout — the
-    // calibration occupancy alpha divides distinct keys by this.
-    stats.buckets = static_cast<double>(engine.CostModelBuckets());
-    stats.distinct_keys = static_cast<double>(nb_live);
-
-    auto drain = [&engine, &writer]() {
-      alloc::AllocCounts c = engine.pools().TakeCounts();
-      c += writer.TakeCounts();
-      return c;
-    };
-
-    // ---- build ----
-    std::vector<StepDef> bsteps = engine.BuildSteps();
-    const cost::StepCosts bcosts = drv.Calibrate(bsteps, stats);
-    auto bratios = ResolveRatios("build", spec.scheme, bcosts, nb, drv.comm,
-                                 spec.build_ratios);
-    if (!bratios.ok()) return bratios.status();
-    drv.report.build_ratios = *bratios;
-    const double btransfer = drv.PhaseInputTransfer(*bratios, nb,
-                                                    tuple_bytes);
-    auto bres = drv.RunPhase("build", Phase::kBuild, bsteps, bcosts,
-                             *bratios, drain, btransfer);
-    if (!bres.ok()) return bres.status();
-    drv.estimated_ns +=
-        cost::EstimateSeries(bcosts, nb, *bratios, drv.comm).elapsed_ns +
-        btransfer;
-
-    // ---- merge (separate tables) ----
-    if (!spec.engine.shared_table) {
-      if (ctx->discrete()) {
-        // Partial table comes back over PCI-e before merging.
-        const double gpu_nodes =
-            (1.0 - (*bratios)[0]) * static_cast<double>(nb);
-        ctx->TransferToDevice(gpu_nodes * 20.0);
-        drv.estimated_ns += ctx->pcie().TransferNs(gpu_nodes * 20.0);
-      }
-      const double merge_ns =
-          drv.TimeMerge(&engine, engine.TableWorkingSetBytes());
-      ctx->log().Add(Phase::kMerge, merge_ns);
-      drv.estimated_ns += merge_ns;
-    }
-
-    // ---- probe ----
-    std::vector<StepDef> psteps = fused_agg != nullptr
-                                      ? engine.ProbeStepsFused(fused_agg)
-                                      : engine.ProbeSteps(&writer);
-    const cost::StepCosts pcosts = drv.Calibrate(psteps, stats);
-    auto pratios = ResolveRatios("probe", spec.scheme, pcosts, np, drv.comm,
-                                 spec.probe_ratios);
-    if (!pratios.ok()) return pratios.status();
-    drv.report.probe_ratios = *pratios;
-    const double ptransfer = drv.PhaseInputTransfer(*pratios, np,
-                                                    tuple_bytes);
-    auto pres = drv.RunPhase("probe", Phase::kProbe, psteps, pcosts,
-                             *pratios, drain, ptransfer);
-    if (!pres.ok()) return pres.status();
-    drv.estimated_ns +=
-        cost::EstimateSeries(pcosts, np, *pratios, drv.comm).elapsed_ns +
-        ptransfer;
-    if (ctx->discrete()) {
-      const double result_bytes =
-          (1.0 - (*pratios)[0]) * static_cast<double>(writer.count()) * 8.0;
-      const double back = ctx->TransferToDevice(result_bytes);
-      drv.estimated_ns += back;
-    }
-    drv.report.overflowed = engine.overflowed();
-  } else {
-    // ---- PHJ ----
-    join::PhjEngine engine(ctx, &build, &probe, spec.engine);
-    engine.set_build_cardinality(nb_live);
-    APU_RETURN_IF_ERROR(engine.Prepare());
-    // Fused selections run inside pass 0 of the partitioners; every later
-    // pass and the whole join phase see only the compacted survivors.
-    engine.set_build_filter(build_filter);
-    engine.set_probe_filter(probe_filter);
-    const uint32_t parts = engine.num_partitions();
-    stats.buckets = static_cast<double>(engine.CostModelBuckets());
-    stats.distinct_keys =
-        static_cast<double>(nb_live) / static_cast<double>(parts);
-
+  const std::vector<uint32_t>* build_pairs = nullptr;
+  const std::vector<uint32_t>* probe_pairs = nullptr;
+  if constexpr (kPhj) {
+    stats.distinct_keys /= static_cast<double>(engine.num_partitions());
     // ---- partition passes (R then S) ----
-    for (int side = 0; side < 2; ++side) {
-      join::RadixPartitioner* part = side == 0 ? engine.build_partitioner()
-                                               : engine.probe_partitioner();
-      const uint64_t n = side == 0 ? nb : np;
-      auto drain_part = [part]() { return part->TakeCounts(); };
+    for (join::RadixPartitioner* part :
+         {engine.build_partitioner(), engine.probe_partitioner()}) {
+      const bool r_side = part == engine.build_partitioner();
+      const uint64_t n = r_side ? stats.build_tuples : stats.probe_tuples;
+      const Drain drain = [part]() { return part->TakeCounts(); };
       for (int pass = 0; pass < part->passes(); ++pass) {
         part->BeginPass(pass);
-        std::vector<StepDef> nsteps = part->PassSteps(pass);
-        const cost::StepCosts ncosts = drv.Calibrate(nsteps, stats);
-        auto nratios = ResolveRatios("partition", spec.scheme, ncosts, n,
-                                     drv.comm, spec.partition_ratios);
-        if (!nratios.ok()) return nratios.status();
-        if (side == 0 && pass == 0) drv.report.partition_ratios = *nratios;
-        const double ntransfer =
-            pass == 0 ? drv.PhaseInputTransfer(*nratios, n, tuple_bytes)
-                      : 0.0;
-        const std::string label = std::string("partition-") +
-                                  (side == 0 ? "R" : "S") + "." +
-                                  std::to_string(pass);
-        auto nres = drv.RunPhase(label, Phase::kPartition, nsteps, ncosts,
-                                 *nratios, drain_part, ntransfer);
-        if (!nres.ok()) return nres.status();
-        drv.estimated_ns +=
-            cost::EstimateSeries(ncosts, n, *nratios, drv.comm).elapsed_ns +
-            ntransfer;
+        Stage st(std::string("partition-") + (r_side ? "R" : "S") + "." +
+                     std::to_string(pass),
+                 Phase::kPartition, part->PassSteps(pass));
+        if (pass == 0) st.input_bytes_per_item = tuple_bytes;
+        APU_RETURN_IF_ERROR(drv.PlanAndRun(&st, "partition", stats, n,
+                                           spec.partition_ratios, drain));
+        if (r_side && pass == 0) drv.report.partition_ratios = st.ratios;
+        drv.estimated_ns += st.estimate_ns + st.transfer_ns;
         part->EndPass(pass);
       }
     }
     APU_RETURN_IF_ERROR(engine.PrepareJoinPhase());
-
-    auto drain = [&engine, &writer]() {
-      alloc::AllocCounts c = engine.pools().TakeCounts();
-      c += writer.TakeCounts();
-      return c;
-    };
-
-    // ---- join phase (build + probe) ----
-    std::vector<StepDef> bsteps = engine.BuildSteps();
-    const cost::StepCosts bcosts = drv.Calibrate(bsteps, stats);
-    auto bratios = ResolveRatios("build", spec.scheme, bcosts, nb, drv.comm,
-                                 spec.build_ratios);
-    if (!bratios.ok()) return bratios.status();
-    drv.report.build_ratios = *bratios;
-    std::vector<StepDef> psteps = fused_agg != nullptr
-                                      ? engine.ProbeStepsFused(fused_agg)
-                                      : engine.ProbeSteps(&writer);
-    const cost::StepCosts pcosts = drv.Calibrate(psteps, stats);
-    auto pratios = ResolveRatios("probe", spec.scheme, pcosts, np, drv.comm,
-                                 spec.probe_ratios);
-    if (!pratios.ok()) return pratios.status();
-    drv.report.probe_ratios = *pratios;
-
-    if (spec.engine.shared_table && spec.scheme != Scheme::kBasicUnit) {
-      // Algorithm 2: apply the whole SHJ to each partition pair before the
-      // next one, so a pair's table stays L2-resident across build AND
-      // probe — the fine-grained cache reuse of Table 3.
-      std::vector<PairSeriesGroup> groups(2);
-      groups[0].steps = &bsteps;
-      groups[0].ratios = *bratios;
-      groups[0].offsets = &engine.build_partitioner()->offsets();
-      groups[1].steps = &psteps;
-      groups[1].ratios = *pratios;
-      groups[1].offsets = &engine.probe_partitioner()->offsets();
-      SeriesOptions jopts;
-      jopts.drain_alloc = drain;
-      const uint64_t dropped0 = writer.dropped();
-      RunSeriesPairBlockedGroups(drv.backend, groups, jopts);
-      drv.AbsorbSeries("build", Phase::kBuild, groups[0].result, bcosts);
-      drv.AbsorbSeries("probe", Phase::kProbe, groups[1].result, pcosts);
-      if (!drv.report.steps.empty()) {
-        // Only the probe's emitting step (absorbed last) can drop pairs.
-        drv.report.steps.back().dropped += writer.dropped() - dropped0;
-      }
-    } else {
-      // Separate tables (and BasicUnit) keep distinct build/probe phases
-      // with an explicit merge in between.
-      const double btransfer = drv.PhaseInputTransfer(*bratios, nb,
-                                                      tuple_bytes);
-      drv.estimated_ns += btransfer;
-      auto bres = drv.RunPhase("build", Phase::kBuild, bsteps, bcosts,
-                               *bratios, drain, btransfer,
-                               &engine.build_partitioner()->offsets());
-      if (!bres.ok()) return bres.status();
-
-      if (!spec.engine.shared_table) {
-        if (ctx->discrete()) {
-          const double gpu_nodes =
-              (1.0 - (*bratios)[0]) * static_cast<double>(nb);
-          ctx->TransferToDevice(gpu_nodes * 20.0);
-          drv.estimated_ns += ctx->pcie().TransferNs(gpu_nodes * 20.0);
-        }
-        const double merge_ns =
-            drv.TimeMerge(&engine, engine.PartitionWorkingSetBytes());
-        ctx->log().Add(Phase::kMerge, merge_ns);
-        drv.estimated_ns += merge_ns;
-      }
-
-      const double ptransfer = drv.PhaseInputTransfer(*pratios, np,
-                                                      tuple_bytes);
-      drv.estimated_ns += ptransfer;
-      auto pres = drv.RunPhase("probe", Phase::kProbe, psteps, pcosts,
-                               *pratios, drain, ptransfer,
-                               &engine.probe_partitioner()->offsets());
-      if (!pres.ok()) return pres.status();
-      if (ctx->discrete()) {
-        const double result_bytes =
-            (1.0 - (*pratios)[0]) * static_cast<double>(writer.count()) *
-            8.0;
-        const double back = ctx->TransferToDevice(result_bytes);
-        drv.estimated_ns += back;
-      }
-    }
-    drv.estimated_ns +=
-        cost::EstimateSeries(bcosts, nb, *bratios, drv.comm).elapsed_ns +
-        cost::EstimateSeries(pcosts, np, *pratios, drv.comm).elapsed_ns;
-    drv.report.overflowed = engine.overflowed();
+    build_pairs = &engine.build_partitioner()->offsets();
+    probe_pairs = &engine.probe_partitioner()->offsets();
   }
 
-  OperatorReport op;
-  op.path = op_path;
-  op.kind = plan::NodeKindName(plan::NodeKind::kHashJoin);
-  op.elapsed_ns = ctx->log().TotalNs() - elapsed0;
-  op.input_rows = nb + np;
-  op.output_rows = fused_agg != nullptr ? fused_agg->total_count()
-                                        : writer.count() - count0;
-  op.fused = fused_agg != nullptr;
-  drv.report.operators.push_back(std::move(op));
+  // ---- build → merge → probe ----
+  Stage build("build", Phase::kBuild, engine.BuildSteps());
+  Stage probe("probe", Phase::kProbe,
+              in.fused_agg != nullptr ? engine.ProbeStepsFused(in.fused_agg)
+                                      : engine.ProbeSteps(&in.writer));
+  build.pair_offsets = build_pairs;
+  probe.pair_offsets = probe_pairs;
+  build.input_bytes_per_item = tuple_bytes;
+  probe.input_bytes_per_item = tuple_bytes;
+  APU_RETURN_IF_ERROR(drv.Plan(&build, "build", stats, stats.build_tuples,
+                               spec.build_ratios));
+  APU_RETURN_IF_ERROR(drv.Plan(&probe, "probe", stats, stats.probe_tuples,
+                               spec.probe_ratios));
+  drv.report.build_ratios = build.ratios;
+  drv.report.probe_ratios = probe.ratios;
+  const Drain drain = JoinDrain(in.writer, {&engine.pools()});
+  double node_transfer_ns = 0.0;
+  double merge_ns = 0.0;
+  if (kPhj && spec.engine.shared_table &&
+      spec.scheme != Scheme::kBasicUnit) {
+    drv.Run({&build, &probe}, drain);
+  } else {
+    // Separate tables (and BasicUnit) keep distinct build/probe phases
+    // with an explicit merge in between.
+    drv.Run({&build}, drain);
+    if (!spec.engine.shared_table) {
+      // The GPU's partial table comes back over PCI-e before merging.
+      const double gpu_nodes = (1.0 - build.ratios[0]) *
+                               static_cast<double>(stats.build_tuples);
+      node_transfer_ns = ctx->TransferToDevice(gpu_nodes * 20.0);
+      if constexpr (kPhj) {
+        merge_ns = drv.TimeMerge(&engine, engine.PartitionWorkingSetBytes());
+      } else {
+        merge_ns = drv.TimeMerge(&engine, engine.TableWorkingSetBytes());
+      }
+      ctx->log().Add(Phase::kMerge, merge_ns);
+    }
+    drv.Run({&probe}, drain);
+  }
+  const double result_transfer_ns = ctx->TransferToDevice(
+      (1.0 - probe.ratios[0]) * static_cast<double>(in.writer.count()) *
+      8.0);
+
+  // Cost-model terms, each algorithm in its own (pinned) summation order:
+  // SHJ charges each series with its input transfer, PHJ charges the
+  // transfers and the merge first and both series estimates last.
+  double& est = drv.estimated_ns;
+  est += kPhj ? build.transfer_ns : build.estimate_ns + build.transfer_ns;
+  est += node_transfer_ns;
+  est += merge_ns;
+  est += kPhj ? probe.transfer_ns : probe.estimate_ns + probe.transfer_ns;
+  est += result_transfer_ns;
+  if (kPhj) est += build.estimate_ns + probe.estimate_ns;
+  drv.report.overflowed = engine.overflowed();
   return Status::OK();
 }
 
-/// Selection: runs the f1/f2 series and materializes the filtered relation
-/// (owned by `eng`, which the caller keeps alive for the rest of the plan).
-StatusOr<const data::Relation*> RunSelectOp(Driver& drv,
-                                            join::SelectEngine& eng,
-                                            const std::string& op_path) {
-  APU_RETURN_IF_ERROR(eng.Prepare());
-  std::vector<StepDef> steps = eng.Steps();
-  const uint64_t n = steps.front().items;
-  double elapsed = 0.0;
-  if (n > 0) {
-    cost::WorkloadStats stats;
-    stats.build_tuples = n;
-    stats.probe_tuples = n;
-    const cost::StepCosts costs = drv.Calibrate(steps, stats);
-    auto ratios = ResolveRatios("select", drv.spec.scheme, costs, n,
-                                drv.comm, {});
-    if (!ratios.ok()) return ratios.status();
-    auto res = drv.RunPhase(op_path, Phase::kSelect, steps, costs, *ratios,
-                            NoAlloc, 0.0);
-    if (!res.ok()) return res.status();
-    drv.estimated_ns +=
-        cost::EstimateSeries(costs, n, *ratios, drv.comm).elapsed_ns;
-    elapsed = res->elapsed_ns;
-  }
-  eng.Finish();
-
-  OperatorReport op;
-  op.path = op_path;
-  op.kind = plan::NodeKindName(plan::NodeKind::kSelect);
-  op.elapsed_ns = elapsed;
-  op.input_rows = n;
-  op.output_rows = eng.survivors();
-  drv.report.operators.push_back(std::move(op));
-  return &eng.output();
+/// The hash-join node: SHJ or PHJ per the spec. `expected_matches` and
+/// `skew_fraction` play the roles the workload's fields played before
+/// plans existed.
+Status RunHashJoinOp(Driver& drv, const JoinInputs& in,
+                     uint64_t expected_matches, double skew_fraction,
+                     const std::string& op_path) {
+  const double elapsed0 = drv.ctx->log().TotalNs();
+  const uint64_t count0 = in.writer.count();
+  cost::WorkloadStats stats;
+  stats.build_tuples = in.build.size();
+  stats.probe_tuples = in.probe.size();
+  stats.match_rate = static_cast<double>(expected_matches) /
+                     static_cast<double>(in.probe.size());
+  stats.skew_fraction = skew_fraction;
+  APU_RETURN_IF_ERROR(drv.spec.algorithm == Algorithm::kSHJ
+                          ? RunHashJoin<join::ShjEngine>(drv, in, stats)
+                          : RunHashJoin<join::PhjEngine>(drv, in, stats));
+  drv.AddOperator(op_path, plan::NodeKind::kHashJoin,
+                  drv.ctx->log().TotalNs() - elapsed0,
+                  in.build.size() + in.probe.size(),
+                  in.fused_agg != nullptr ? in.fused_agg->total_count()
+                                          : in.writer.count() - count0,
+                  in.fused_agg != nullptr);
+  return Status::OK();
 }
 
-/// Fused selection (Select→HashJoin edge): runs the flag-only f1 series and
-/// returns the selection vector for the join kernels to consume
-/// positionally — no compaction pass, no filtered-relation copy.
-StatusOr<const uint8_t*> RunSelectOpFused(Driver& drv,
-                                          join::SelectEngine& eng,
-                                          const std::string& op_path) {
-  APU_RETURN_IF_ERROR(eng.PrepareFused());
-  std::vector<StepDef> steps = eng.FusedSteps();
+/// The series of a unary operator (select f1/f2, group-by g1) over its
+/// steps' items; an empty input runs nothing. Returns the phase time.
+StatusOr<double> RunUnaryStage(Driver& drv, const char* which,
+                               const std::string& op_path, Phase phase,
+                               std::vector<StepDef> steps) {
   const uint64_t n = steps.front().items;
-  double elapsed = 0.0;
-  if (n > 0) {
-    cost::WorkloadStats stats;
-    stats.build_tuples = n;
-    stats.probe_tuples = n;
-    const cost::StepCosts costs = drv.Calibrate(steps, stats);
-    auto ratios = ResolveRatios("select", drv.spec.scheme, costs, n,
-                                drv.comm, {});
-    if (!ratios.ok()) return ratios.status();
-    auto res = drv.RunPhase(op_path, Phase::kSelect, steps, costs, *ratios,
-                            NoAlloc, 0.0);
-    if (!res.ok()) return res.status();
-    drv.estimated_ns +=
-        cost::EstimateSeries(costs, n, *ratios, drv.comm).elapsed_ns;
-    elapsed = res->elapsed_ns;
-  }
+  if (n == 0) return 0.0;
+  cost::WorkloadStats stats;
+  stats.build_tuples = n;
+  stats.probe_tuples = n;
+  Stage st(op_path, phase, std::move(steps));
+  APU_RETURN_IF_ERROR(drv.PlanAndRun(&st, which, stats, n, {}, NoAlloc));
+  drv.estimated_ns += st.estimate_ns;
+  return st.elapsed_ns;
+}
 
-  OperatorReport op;
-  op.path = op_path;
-  op.kind = plan::NodeKindName(plan::NodeKind::kSelect);
-  op.elapsed_ns = elapsed;
-  op.input_rows = n;
-  op.output_rows = eng.survivors();
-  op.fused = true;
-  drv.report.operators.push_back(std::move(op));
-  return eng.flags();
+/// Selection: runs the f1/f2 series and materializes the filtered relation
+/// (eng.output()). Fused into a Select→HashJoin edge it runs only the
+/// flag-only f1 series and leaves the selection vector (eng.flags()) for
+/// the join kernels to consume positionally — no compaction pass, no
+/// filtered-relation copy. The caller keeps `eng` alive for the rest of
+/// the plan.
+Status RunSelectOp(Driver& drv, join::SelectEngine& eng, bool fused,
+                   const std::string& op_path) {
+  APU_RETURN_IF_ERROR(fused ? eng.PrepareFused() : eng.Prepare());
+  std::vector<StepDef> steps = fused ? eng.FusedSteps() : eng.Steps();
+  const uint64_t n = steps.front().items;
+  auto elapsed = RunUnaryStage(drv, "select", op_path, Phase::kSelect,
+                               std::move(steps));
+  if (!elapsed.ok()) return elapsed.status();
+  if (!fused) eng.Finish();
+  drv.AddOperator(op_path, plan::NodeKind::kSelect, *elapsed, n,
+                  eng.survivors(), fused);
+  return Status::OK();
 }
 
 /// Multi-way probe chain: one shared-table build per relation, then the
@@ -632,83 +583,48 @@ Status RunMultiwayOp(Driver& drv,
   join::MultiwayEngine engine(ctx, builds, &probe, spec.engine);
   APU_RETURN_IF_ERROR(engine.Prepare());
 
+  cost::WorkloadStats stats;
+  stats.probe_tuples = np;
+  stats.match_rate = static_cast<double>(expected_matches) /
+                     static_cast<double>(np);
+  stats.skew_fraction = skew_fraction;
   uint64_t nb_total = 0;
   double buckets_total = 0.0;
-  for (int k = 0; k < engine.num_tables(); ++k) {
-    nb_total += builds[k]->size();
-    buckets_total +=
-        static_cast<double>(engine.build_engine(k)->CostModelBuckets());
-  }
-
+  std::vector<join::NodePools*> pools;
   // ---- per-table builds ----
   for (int k = 0; k < engine.num_tables(); ++k) {
     join::ShjEngine* beng = engine.build_engine(k);
     const uint64_t nbk = builds[k]->size();
-    cost::WorkloadStats stats;
+    nb_total += nbk;
+    buckets_total += static_cast<double>(beng->CostModelBuckets());
+    pools.push_back(&beng->pools());
     stats.build_tuples = nbk;
-    stats.probe_tuples = np;
     stats.buckets = static_cast<double>(beng->CostModelBuckets());
     stats.distinct_keys = static_cast<double>(nbk);
-    stats.match_rate = static_cast<double>(expected_matches) /
-                       static_cast<double>(np);
-    stats.skew_fraction = skew_fraction;
-
-    auto drain = [beng, &writer]() {
-      alloc::AllocCounts c = beng->pools().TakeCounts();
-      c += writer.TakeCounts();
-      return c;
-    };
-    std::vector<StepDef> bsteps = beng->BuildSteps();
-    const cost::StepCosts bcosts = drv.Calibrate(bsteps, stats);
-    auto bratios = ResolveRatios("build", spec.scheme, bcosts, nbk, drv.comm,
-                                 spec.build_ratios);
-    if (!bratios.ok()) return bratios.status();
-    if (k == 0) drv.report.build_ratios = *bratios;
-    const std::string label = "build[" + std::to_string(k) + "]";
-    auto bres = drv.RunPhase(label, Phase::kBuild, bsteps, bcosts, *bratios,
-                             drain, 0.0);
-    if (!bres.ok()) return bres.status();
-    drv.estimated_ns +=
-        cost::EstimateSeries(bcosts, nbk, *bratios, drv.comm).elapsed_ns;
+    Stage st("build[" + std::to_string(k) + "]", Phase::kBuild,
+             beng->BuildSteps());
+    APU_RETURN_IF_ERROR(drv.PlanAndRun(&st, "build", stats, nbk,
+                                       spec.build_ratios,
+                                       JoinDrain(writer, {&beng->pools()})));
+    if (k == 0) drv.report.build_ratios = st.ratios;
+    drv.estimated_ns += st.estimate_ns;
   }
 
   // ---- probe chain ----
-  cost::WorkloadStats stats;
   stats.build_tuples = nb_total;
-  stats.probe_tuples = np;
   stats.buckets = buckets_total;
   stats.distinct_keys = static_cast<double>(nb_total);
-  stats.match_rate = static_cast<double>(expected_matches) /
-                     static_cast<double>(np);
-  stats.skew_fraction = skew_fraction;
-
-  auto drain = [&engine, &writer]() {
-    alloc::AllocCounts c = writer.TakeCounts();
-    for (int k = 0; k < engine.num_tables(); ++k) {
-      c += engine.build_engine(k)->pools().TakeCounts();
-    }
-    return c;
-  };
-  std::vector<StepDef> psteps = engine.ChainSteps(&writer);
-  const cost::StepCosts pcosts = drv.Calibrate(psteps, stats);
-  auto pratios = ResolveRatios("probe", spec.scheme, pcosts, np, drv.comm,
-                               spec.probe_ratios);
-  if (!pratios.ok()) return pratios.status();
-  drv.report.probe_ratios = *pratios;
-  auto pres = drv.RunPhase("probe-chain", Phase::kProbe, psteps, pcosts,
-                           *pratios, drain, 0.0);
-  if (!pres.ok()) return pres.status();
-  drv.estimated_ns +=
-      cost::EstimateSeries(pcosts, np, *pratios, drv.comm).elapsed_ns;
+  Stage st("probe-chain", Phase::kProbe, engine.ChainSteps(&writer));
+  APU_RETURN_IF_ERROR(drv.PlanAndRun(&st, "probe", stats, np,
+                                     spec.probe_ratios,
+                                     JoinDrain(writer, std::move(pools))));
+  drv.report.probe_ratios = st.ratios;
+  drv.estimated_ns += st.estimate_ns;
   drv.report.overflowed = engine.overflowed();
 
-  OperatorReport op;
-  op.path = op_path;
-  op.kind = plan::NodeKindName(plan::NodeKind::kMultiwayJoin);
-  op.elapsed_ns = ctx->log().TotalNs() - elapsed0;
-  op.input_rows = nb_total + np;
-  op.output_rows = writer.count();
-  drv.report.operators.push_back(std::move(op));
+  drv.AddOperator(op_path, plan::NodeKind::kMultiwayJoin,
+                  ctx->log().TotalNs() - elapsed0, nb_total + np,
+                  writer.count());
   return Status::OK();
 }
 
@@ -719,33 +635,12 @@ Status RunGroupByOp(Driver& drv, const join::ResultWriter& writer,
   join::GroupByEngine eng(&writer, agg);
   eng.set_prefetch_dist(drv.spec.engine.prefetch_dist);
   APU_RETURN_IF_ERROR(eng.Prepare());
-  std::vector<StepDef> steps = eng.Steps();
-  const uint64_t n = steps.front().items;
-  double elapsed = 0.0;
-  if (n > 0) {
-    cost::WorkloadStats stats;
-    stats.build_tuples = n;
-    stats.probe_tuples = n;
-    const cost::StepCosts costs = drv.Calibrate(steps, stats);
-    auto ratios = ResolveRatios("group-by", drv.spec.scheme, costs, n,
-                                drv.comm, {});
-    if (!ratios.ok()) return ratios.status();
-    auto res = drv.RunPhase(op_path, Phase::kGroupBy, steps, costs, *ratios,
-                            NoAlloc, 0.0);
-    if (!res.ok()) return res.status();
-    drv.estimated_ns +=
-        cost::EstimateSeries(costs, n, *ratios, drv.comm).elapsed_ns;
-    elapsed = res->elapsed_ns;
-  }
+  auto elapsed = RunUnaryStage(drv, "group-by", op_path, Phase::kGroupBy,
+                               eng.Steps());
+  if (!elapsed.ok()) return elapsed.status();
   drv.report.groups = eng.Materialize();
-
-  OperatorReport op;
-  op.path = op_path;
-  op.kind = plan::NodeKindName(plan::NodeKind::kGroupBy);
-  op.elapsed_ns = elapsed;
-  op.input_rows = writer.count();
-  op.output_rows = drv.report.groups.size();
-  drv.report.operators.push_back(std::move(op));
+  drv.AddOperator(op_path, plan::NodeKind::kGroupBy, *elapsed,
+                  writer.count(), drv.report.groups.size());
   return Status::OK();
 }
 
@@ -828,7 +723,9 @@ StatusOr<JoinReport> ExecutePlan(exec::Backend* backend,
     if (!in.ok()) return in.status();
     select_engines.push_back(std::make_unique<join::SelectEngine>(
         *in, n.predicate, spec.engine.prefetch_dist));
-    return RunSelectOp(drv, *select_engines.back(), NodePath(g, idx));
+    APU_RETURN_IF_ERROR(RunSelectOp(drv, *select_engines.back(),
+                                    /*fused=*/false, NodePath(g, idx)));
+    return &select_engines.back()->output();
   };
   std::vector<const data::Relation*> inputs(join_node.children.size());
   // Fused Select children: the join consumes the unfiltered input plus a
@@ -843,11 +740,10 @@ StatusOr<JoinReport> ExecutePlan(exec::Backend* backend,
       if (!in.ok()) return in.status();
       select_engines.push_back(std::make_unique<join::SelectEngine>(
           *in, g.nodes[child].predicate, spec.engine.prefetch_dist));
-      auto flags =
-          RunSelectOpFused(drv, *select_engines.back(), NodePath(g, child));
-      if (!flags.ok()) return flags.status();
+      APU_RETURN_IF_ERROR(RunSelectOp(drv, *select_engines.back(),
+                                      /*fused=*/true, NodePath(g, child)));
       inputs[c] = *in;
-      filters[c] = *flags;
+      filters[c] = select_engines.back()->flags();
       filter_survivors[c] = select_engines.back()->survivors();
       continue;
     }
@@ -915,16 +811,15 @@ StatusOr<JoinReport> ExecutePlan(exec::Backend* backend,
 
   // ---- the join ----
   if (select_emptied) {
-    OperatorReport op;
-    op.path = NodePath(g, join_idx);
-    op.kind = plan::NodeKindName(join_node.kind);
-    for (const data::Relation* r : inputs) op.input_rows += r->size();
-    drv.report.operators.push_back(std::move(op));
+    uint64_t input_rows = 0;
+    for (const data::Relation* r : inputs) input_rows += r->size();
+    drv.AddOperator(NodePath(g, join_idx), join_node.kind, 0.0, input_rows,
+                    0);
   } else if (join_node.kind == plan::NodeKind::kHashJoin) {
-    APU_RETURN_IF_ERROR(RunHashJoinOp(drv, *inputs[0], *inputs[1], writer,
-                                      filters[0], filters[1],
-                                      filter_survivors[0], fused_agg.get(),
-                                      expected, plan.skew_fraction,
+    const JoinInputs in{*inputs[0],  *inputs[1],         writer,
+                        filters[0],  filters[1],         filter_survivors[0],
+                        fused_agg.get()};
+    APU_RETURN_IF_ERROR(RunHashJoinOp(drv, in, expected, plan.skew_fraction,
                                       NodePath(g, join_idx)));
   } else {
     APU_RETURN_IF_ERROR(RunMultiwayOp(drv, inputs, writer, expected,
@@ -955,15 +850,8 @@ StatusOr<JoinReport> ExecutePlan(exec::Backend* backend,
     OperatorReport& jop = drv.report.operators.back();
     jop.elapsed_ns = std::max(0.0, jop.elapsed_ns - share);
     drv.report.groups = fused_agg->Materialize();
-
-    OperatorReport op;
-    op.path = NodePath(g, g.root);
-    op.kind = plan::NodeKindName(plan::NodeKind::kGroupBy);
-    op.elapsed_ns = share;
-    op.input_rows = matched;
-    op.output_rows = drv.report.groups.size();
-    op.fused = true;
-    drv.report.operators.push_back(std::move(op));
+    drv.AddOperator(NodePath(g, g.root), plan::NodeKind::kGroupBy, share,
+                    matched, drv.report.groups.size(), /*fused=*/true);
   } else if (has_groupby) {
     APU_RETURN_IF_ERROR(RunGroupByOp(drv, writer, root.agg,
                                      NodePath(g, g.root)));

@@ -5,14 +5,21 @@
 // This is the generic successor of the single-join driver: a PlanSpec
 // carries a plan::Graph (scans, selections, a hash or multi-way join, an
 // optional group-by) plus the same JoinSpec execution knobs the lone-join
-// path always had. Lowering walks the tree bottom-up:
+// path always had. Every operator lowers onto *stages* — one co-processed
+// step series each — and every stage goes through one protocol: calibrate
+// (analytic costs, overlaid with shared and measured unit costs) → resolve
+// and validate the per-step ratios → move the GPU's input share over
+// PCI-e (discrete architecture) → run the series → absorb its step
+// reports, returning the cost-model estimate terms to the operator.
+// Lowering walks the tree bottom-up:
 //
 //   * Select nodes materialize their filtered relation through the f1/f2
-//     series (join/select_engine), co-processed like any other phase;
-//   * the join node runs the exact legacy flow — calibration, ratio
-//     optimization, build/partition/probe series, discrete transfers,
-//     separate-table merges — so a single-HashJoin plan produces a report
-//     bit-identical to the pre-plan driver;
+//     series (join/select_engine), one stage like any other phase;
+//   * HashJoin is SHJ's build → merge → probe flow; PHJ runs its radix
+//     partition passes first, then the same flow over the partition pairs
+//     (pair-blocked when the table is shared). Separate per-device tables
+//     merge between build and probe, and on the discrete architecture the
+//     GPU's partial table and result pairs cross PCI-e back;
 //   * MultiwayJoin builds one shared table per build relation and probes
 //     them in one m1..m4 chain series (join/multiway_engine);
 //   * GroupBy aggregates the join's result writer through the g1 series

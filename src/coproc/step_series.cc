@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "alloc/latch_model.h"
+#include "cost/optimizer.h"
 #include "exec/sim_backend.h"
 #include "util/status.h"
 
@@ -204,24 +205,6 @@ void InitSeriesResult(const std::vector<join::StepDef>& steps,
 
 }  // namespace
 
-SeriesResult RunSeriesPairBlocked(exec::Backend* backend,
-                                  std::vector<join::StepDef>& steps,
-                                  const SeriesOptions& opts,
-                                  const std::vector<uint32_t>& offsets) {
-  APU_CHECK(opts.ratios.size() == steps.size() &&
-            "one ratio per step (driver validates before this layer)");
-  SeriesResult result;
-  InitSeriesResult(steps, opts.ratios, &result);
-  for (size_t p = 0; p + 1 < offsets.size(); ++p) {
-    if (offsets[p + 1] <= offsets[p]) continue;
-    RunOnePairSeries(backend, steps, opts.ratios, opts.drain_alloc,
-                     opts.comm_bytes_per_item, offsets[p], offsets[p + 1],
-                     &result);
-  }
-  result.modeled_elapsed_ns = result.elapsed_ns - result.lock_ns;
-  return result;
-}
-
 void RunSeriesPairBlockedGroups(exec::Backend* backend,
                                 std::vector<PairSeriesGroup>& groups,
                                 const SeriesOptions& shared_opts) {
@@ -244,6 +227,25 @@ void RunSeriesPairBlockedGroups(exec::Backend* backend,
   }
   for (auto& g : groups) {
     g.result.modeled_elapsed_ns = g.result.elapsed_ns - g.result.lock_ns;
+  }
+}
+
+void RunPartitionPasses(
+    exec::Backend* backend, join::RadixPartitioner* part, uint64_t n,
+    const cost::WorkloadStats& stats,
+    const std::function<void(const SeriesResult&)>& on_pass) {
+  const simcl::SimContext& ctx = *backend->context();
+  cost::CommSpec comm;
+  comm.bandwidth_gbps = ctx.memory().spec().total_bandwidth_gbps;
+  SeriesOptions opts;
+  opts.drain_alloc = [part]() { return part->TakeCounts(); };
+  for (int pass = 0; pass < part->passes(); ++pass) {
+    part->BeginPass(pass);
+    std::vector<join::StepDef> steps = part->PassSteps(pass);
+    const cost::StepCosts costs = cost::CalibrateSeries(ctx, steps, stats);
+    opts.ratios = cost::OptimizeDataDividing(costs, n, comm).ratios;
+    on_pass(RunSeries(backend, steps, opts));
+    part->EndPass(pass);
   }
 }
 
@@ -316,14 +318,6 @@ SeriesResult RunSeries(simcl::SimContext* ctx,
                        const SeriesOptions& opts) {
   exec::SimBackend backend(ctx);
   return RunSeries(&backend, steps, opts);
-}
-
-SeriesResult RunSeriesPairBlocked(simcl::SimContext* ctx,
-                                  std::vector<join::StepDef>& steps,
-                                  const SeriesOptions& opts,
-                                  const std::vector<uint32_t>& offsets) {
-  exec::SimBackend backend(ctx);
-  return RunSeriesPairBlocked(&backend, steps, opts, offsets);
 }
 
 void RunSeriesPairBlockedGroups(simcl::SimContext* ctx,
