@@ -75,6 +75,15 @@ decltype(auto) WithKernelTypes(exec::HashLayout layout, bool wide, Fn&& fn) {
   });
 }
 
+/// Open-layout slot ids are only valid in the table that issued them
+/// (chained key nodes are global pool indices, valid in every table). With
+/// separate per-device tables, b3 and b4 of one tuple may run on different
+/// devices — the pipelined scheme gives the steps different ratios — so b3
+/// tags a slot id issued by a GPU-private table and b4 addresses the
+/// issuing table. Slot ids stay below the tag bit (at most 2^27 buckets of
+/// 8 slots).
+inline constexpr int32_t kGpuSlotTag = int32_t{1} << 30;
+
 /// SHJ's table selector: every item addresses the one table — except a
 /// build kernel on the GPU in separate mode, which fills the GPU's private
 /// table (merged into the CPU table after the build).
@@ -333,7 +342,11 @@ std::vector<StepDef> HashJoinEngineBase::BuildSeries(const Tables& tables,
           r_keynode[i] = t->FindOrAddKey(r_bucket[i], rk.lo[i], dev,
                                          WorkgroupOf(i), &work);
         }
-        if (r_keynode[i] == kNil) *overflowed = true;
+        if (r_keynode[i] == kNil) {
+          *overflowed = true;
+        } else if constexpr (kIsOpenTable<Table>) {
+          if (dev == simcl::DeviceId::kGpu) r_keynode[i] |= kGpuSlotTag;
+        }
       }
       total += RecordWork(lw, m, i, work);
     }
@@ -349,8 +362,15 @@ std::vector<StepDef> HashJoinEngineBase::BuildSeries(const Tables& tables,
                const Morsel& m, simcl::DeviceId dev, uint32_t* lw) -> uint64_t {
     for (uint64_t i = m.begin; i < m.end; ++i) {
       if (r_keynode[i] == kNil) continue;
-      Table* t = tables.Build(i, dev);
-      if (!t->InsertRid(r_keynode[i], r_rids[i], dev, WorkgroupOf(i))) {
+      int32_t node = r_keynode[i];
+      simcl::DeviceId issuer = dev;
+      if constexpr (kIsOpenTable<Table>) {
+        issuer = (node & kGpuSlotTag) != 0 ? simcl::DeviceId::kGpu
+                                           : simcl::DeviceId::kCpu;
+        node &= ~kGpuSlotTag;
+      }
+      Table* t = tables.Build(i, issuer);
+      if (!t->InsertRid(node, r_rids[i], dev, WorkgroupOf(i))) {
         *overflowed = true;
         continue;
       }

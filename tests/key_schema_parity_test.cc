@@ -118,18 +118,16 @@ constexpr Pin kPins[] = {
      8181ull},
     {"separate/shj/chained", "0x1.e06c5787b95f8p+18",
      "0x1.c1c5f4eabddbap+18", 16384ull},
-    // Known defect, pinned as-is so a restructuring cannot move it: under
-    // the pipelined scheme b3 and b4 of one tuple may run on different
-    // devices, and an open-layout slot id is only meaningful in the table
-    // that issued it, so some rids land on the wrong separate table's slot
-    // (16004 of 16384 matches). The chained layout's key nodes are global
-    // pool indices and do not have the problem.
-    {"separate/shj/open", "0x1.8c6675b16fcf4p+18", "0x1.736795d9c02c2p+18",
-     16004ull},
+    // Re-pinned when b4 started addressing the table b3 inserted into:
+    // under the pipelined scheme b3 and b4 of one tuple may run on
+    // different devices, and an open-layout slot id is only meaningful in
+    // the table that issued it (16004 of 16384 matches before the fix).
+    {"separate/shj/open", "0x1.848a903a8486ep+18", "0x1.6b3d95d9c02c2p+18",
+     16384ull},
     {"separate/phj/chained", "0x1.1e2471f1b523ep+19",
      "0x1.01ef336ed3929p+19", 16384ull},
-    {"separate/phj/open", "0x1.e843020d20b7ap+18", "0x1.b58007cca975bp+18",
-     16004ull},
+    {"separate/phj/open", "0x1.e0671c96356f4p+18", "0x1.ad5607cca975bp+18",
+     16384ull},
     {"grouping/shj/chained", "0x1.66bf31a225ec1p+18", "0x1.42b31b512442p+18",
      16384ull},
     {"grouping/shj/open", "0x1.1131f51a56dffp+18", "0x1.df07454d19f1ep+17",
@@ -266,8 +264,9 @@ TEST(KeySchemaParityTest, SeparateTablesBitIdentical) {
          {HashLayout::kChained, HashLayout::kOpenAddressing}) {
       JoinSpec spec = MakeSpec(algo, layout);
       spec.engine.shared_table = false;
-      ExpectPinned(AlgoLayoutName("separate", algo, layout),
-                   MustRun(MakeSingleJoinPlan(w, spec)));
+      const JoinReport report = MustRun(MakeSingleJoinPlan(w, spec));
+      ExpectPinned(AlgoLayoutName("separate", algo, layout), report);
+      EXPECT_EQ(report.matches, join::ReferenceMatchCount(w.build, w.probe));
     }
   }
 }

@@ -74,12 +74,13 @@ data::Workload AllDuplicateWorkload() {
 
 uint64_t RunJoin(const data::Workload& w, HashLayout layout,
                  SimdPolicy simd, BackendKind backend, uint32_t morsel,
-                 Algorithm algo) {
+                 Algorithm algo, bool shared_table = true) {
   simcl::SimContext ctx;
   JoinSpec spec;
   spec.algorithm = algo;
   spec.scheme = Scheme::kPipelined;
   spec.engine.layout = layout;
+  spec.engine.shared_table = shared_table;
   spec.engine.simd = simd;
   spec.engine.backend = backend;
   spec.engine.threads = 4;
@@ -133,6 +134,29 @@ TEST(LayoutParity, MorselSizeInvariant) {
     EXPECT_EQ(RunJoin(w, HashLayout::kOpenAddressing, SimdPolicy::kAuto,
                       BackendKind::kThreadPool, morsel, Algorithm::kSHJ),
               reference);
+  }
+}
+
+// Separate per-device tables under the pipelined scheme: b3 and b4 of one
+// tuple may run on different devices, and an open-layout slot id is only
+// valid in the table that issued it, so b4 must insert into b3's table.
+// Every build rid has to survive the merge.
+TEST(LayoutParity, SeparateTablesMatchOracle) {
+  for (const LayoutCase& c : kCases) {
+    SCOPED_TRACE(c.name);
+    const data::Workload w = MakeWorkload(c);
+    const uint64_t reference = join::ReferenceMatchCount(w.build, w.probe);
+    for (Algorithm algo : {Algorithm::kSHJ, Algorithm::kPHJ}) {
+      SCOPED_TRACE(AlgorithmName(algo));
+      for (HashLayout layout :
+           {HashLayout::kChained, HashLayout::kOpenAddressing}) {
+        SCOPED_TRACE(HashLayoutName(layout));
+        EXPECT_EQ(RunJoin(w, layout, SimdPolicy::kAuto,
+                          BackendKind::kThreadPool, 0, algo,
+                          /*shared_table=*/false),
+                  reference);
+      }
+    }
   }
 }
 
