@@ -15,6 +15,7 @@ RatioTuner::RatioTuner(cost::TuneMode mode,
 void RatioTuner::Reset() {
   calib_.Clear();
   shapes_.clear();
+  same_run_.clear();
   installed_build_.clear();
   installed_probe_.clear();
   installed_partition_.clear();
@@ -42,8 +43,16 @@ void RatioTuner::Absorb(const JoinReport& report) {
       // Contention-free measured time: on the sim backend the modelled
       // share (the cost model excludes locks by construction), on real
       // backends the full wall clock (nothing is separable there).
-      calib_.Observe(s.name, DeviceId::kCpu, s.cpu_items, s.cpu_modeled_ns);
-      calib_.Observe(s.name, DeviceId::kGpu, s.gpu_items, s.gpu_modeled_ns);
+      const bool cpu = calib_.Observe(s.name, DeviceId::kCpu, s.cpu_items,
+                                      s.cpu_modeled_ns);
+      const bool gpu = calib_.Observe(s.name, DeviceId::kGpu, s.gpu_items,
+                                      s.gpu_modeled_ns);
+      if (cpu && gpu) {
+        cost::StepCost& pair = same_run_[s.name];
+        pair.name = s.name;
+        pair.cpu_ns_per_item = calib_.UnitCostNs(s.name, DeviceId::kCpu);
+        pair.gpu_ns_per_item = calib_.UnitCostNs(s.name, DeviceId::kGpu);
+      }
       if (shapes_.empty() || shapes_.back().phase != s.phase) {
         shapes_.push_back(PhaseShape{s.phase, 0, {}, {}});
         shapes_.back().items = s.cpu_items + s.gpu_items;
@@ -81,14 +90,21 @@ void RatioTuner::Prepare(JoinSpec* spec) {
 
   const bool single_ratio = spec->scheme == Scheme::kDataDivide;
   for (const PhaseShape& shape : shapes_) {
-    // Steps whose device slice never ran (ratio 0 or 1 from the start)
-    // have no measurement to compare against; keep their current ratio.
-    const cost::StepCosts refined = calib_.Refine(shape.unit_costs);
+    // Lanes are compared on their same-run values. A step no run has
+    // measured on both lanes (ratio 0 or 1 from the start, or a slice too
+    // small to time) has nothing to compare; it keeps its current ratio.
+    cost::StepCosts costs = calib_.Refine(shape.unit_costs);
+    std::vector<bool> compared(costs.size(), false);
+    for (size_t i = 0; i < costs.size(); ++i) {
+      const auto it = same_run_.find(costs[i].name);
+      if (it == same_run_.end()) continue;
+      costs[i] = it->second;
+      compared[i] = true;
+    }
     std::vector<double> tuned =
-        cost::OptimizeSerial(refined, shape.items, single_ratio).ratios;
+        cost::OptimizeSerial(costs, shape.items, single_ratio).ratios;
     for (size_t i = 0; i < tuned.size(); ++i) {
-      if (!calib_.Has(refined[i].name, DeviceId::kCpu) ||
-          !calib_.Has(refined[i].name, DeviceId::kGpu)) {
+      if (!compared[i]) {
         tuned[i] = shape.ratios[i];
         continue;
       }
@@ -99,8 +115,8 @@ void RatioTuner::Prepare(JoinSpec* spec) {
       // the scheduling jitter of a shared pool: whether a helper worker
       // wakes in time to join a small span moves its measured wall by up
       // to ~20%, and that must not read as a lane preference.
-      const double cpu = refined[i].cpu_ns_per_item;
-      const double gpu = refined[i].gpu_ns_per_item;
+      const double cpu = costs[i].cpu_ns_per_item;
+      const double gpu = costs[i].gpu_ns_per_item;
       const bool near_equal =
           std::min(cpu, gpu) > 0.8 * std::max(cpu, gpu);
       const bool incumbent_whole =

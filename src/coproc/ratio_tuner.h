@@ -16,6 +16,7 @@
 #ifndef APUJOIN_COPROC_RATIO_TUNER_H_
 #define APUJOIN_COPROC_RATIO_TUNER_H_
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -75,6 +76,12 @@ class RatioTuner {
   cost::OnlineCalibrator calib_;
   const cost::OnlineCalibrator* shared_ = nullptr;
   std::vector<PhaseShape> shapes_;
+  /// Per step: both lanes' unit costs as of the last run that measured
+  /// both. Once a step runs whole on one lane the other lane is never
+  /// measured again, and comparing the live lane's EWMA against the idle
+  /// lane's old sample would flip the step on one slow run; Prepare
+  /// compares the lanes only on these same-run values.
+  std::map<std::string, cost::StepCost> same_run_;
   /// What Prepare last installed per override slot, so a user-pinned
   /// override (anything else non-empty) is never clobbered.
   std::vector<double> installed_build_;

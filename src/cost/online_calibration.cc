@@ -26,9 +26,9 @@ OnlineCalibrator::OnlineCalibrator(OnlineCalibratorOptions opts)
   if (opts_.alpha <= 0.0 || opts_.alpha > 1.0) opts_.alpha = 0.5;
 }
 
-void OnlineCalibrator::Observe(const std::string& step, simcl::DeviceId dev,
+bool OnlineCalibrator::Observe(const std::string& step, simcl::DeviceId dev,
                                uint64_t items, double elapsed_ns) {
-  if (items < opts_.min_slice_items || elapsed_ns <= 0.0) return;
+  if (items < opts_.min_slice_items || elapsed_ns <= 0.0) return false;
   const double sample = elapsed_ns / static_cast<double>(items);
   Entry& e = table_[step];
   const int d = static_cast<int>(dev);
@@ -38,6 +38,7 @@ void OnlineCalibrator::Observe(const std::string& step, simcl::DeviceId dev,
     e.unit_ns[d] = opts_.alpha * sample + (1.0 - opts_.alpha) * e.unit_ns[d];
   }
   ++e.samples[d];
+  return true;
 }
 
 bool OnlineCalibrator::Has(const std::string& step,

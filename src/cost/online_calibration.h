@@ -67,8 +67,8 @@ class OnlineCalibrator {
 
   /// Folds one measured device slice of `step` into the table: `items`
   /// executed in `elapsed_ns`. Slices below min_slice_items (or with
-  /// non-positive time) are ignored.
-  void Observe(const std::string& step, simcl::DeviceId dev, uint64_t items,
+  /// non-positive time) are ignored; returns whether the slice was taken.
+  bool Observe(const std::string& step, simcl::DeviceId dev, uint64_t items,
                double elapsed_ns);
 
   /// True if `step` has at least one accepted observation on `dev`.

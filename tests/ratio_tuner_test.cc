@@ -139,6 +139,38 @@ TEST(RatioTunerTest, SerialOverridesRunStepsOnTheirCheaperLane) {
   EXPECT_EQ(user_pin.build_ratios.size(), 3u);  // untouched slot: tuned
 }
 
+TEST(RatioTunerTest, WholeLaneStepsCompareOnlySameRunMeasurements) {
+  RatioTuner tuner(TuneMode::kOnline);
+  JoinReport split;  // run 0: b3 split across both lanes, CPU cheaper
+  split.steps.push_back(SynthStep("build", "b3", 0.5, 20000, 50.0, 60.0));
+  tuner.Absorb(split);
+  JoinSpec spec;
+  spec.scheme = Scheme::kPipelined;
+  spec.engine.backend = exec::BackendKind::kThreadPool;
+  tuner.Prepare(&spec);
+  ASSERT_EQ(spec.build_ratios, std::vector<double>({1.0}));
+
+  // Run 1 executes b3 whole on the CPU, and slowly: the CPU lane's EWMA
+  // climbs past the GPU lane's run-0 value by more than the hysteresis
+  // band. The GPU lane did not run, so no same-run comparison says the
+  // GPU is now cheaper; the step keeps its lane.
+  JoinReport whole;
+  whole.steps.push_back(SynthStep("build", "b3", 1.0, 20000, 120.0, 0.0));
+  tuner.Absorb(whole);
+  ASSERT_GT(tuner.calibrator().UnitCostNs("b3", DeviceId::kCpu),
+            1.25 * tuner.calibrator().UnitCostNs("b3", DeviceId::kGpu));
+  tuner.Prepare(&spec);
+  EXPECT_EQ(spec.build_ratios, std::vector<double>({1.0}));
+
+  // A run that measures both lanes again is a same-run comparison: a GPU
+  // lane now clearly cheaper wins the step.
+  JoinReport resplit;
+  resplit.steps.push_back(SynthStep("build", "b3", 0.5, 20000, 100.0, 40.0));
+  tuner.Absorb(resplit);
+  tuner.Prepare(&spec);
+  EXPECT_EQ(spec.build_ratios, std::vector<double>({0.0}));
+}
+
 TEST(RatioTunerTest, UntunedSimSessionIsDeterministic) {
   // --tune=off must leave the sim backend's virtual-time path untouched:
   // two identical runs produce bit-identical timing.
