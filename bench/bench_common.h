@@ -100,9 +100,9 @@ class JsonEmitter {
       return;
     }
     std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"backend\": \"%s\",\n",
-                 bench_.c_str(), BackendKindName(g_flags.backend));
+                 bench_.c_str(), BackendKindName(g_flags.exec.backend));
     std::fprintf(f, "  \"threads\": %d,\n  \"scale\": %s,\n",
-                 g_flags.threads, Num(BenchScale()).c_str());
+                 g_flags.exec.threads, Num(BenchScale()).c_str());
     WriteList(f, "joins", joins_);
     std::fprintf(f, ",\n");
     WriteList(f, "metrics", metrics_);
@@ -162,7 +162,7 @@ inline void InitBench(int argc, char** argv) {
   }
 }
 
-inline exec::BackendKind BenchBackend() { return g_flags.backend; }
+inline exec::BackendKind BenchBackend() { return g_flags.exec.backend; }
 
 /// Stamps the selected backend (and tune mode) into a join spec.
 inline void ApplyBackend(coproc::JoinSpec* spec) {
@@ -173,9 +173,10 @@ inline void ApplyBackend(coproc::JoinSpec* spec) {
 /// context — so --backend=threads spawns one pool instead of one per join.
 inline exec::Backend* CachedBackend(simcl::SimContext* ctx) {
   static std::unique_ptr<exec::Backend> backend;
-  if (backend == nullptr || backend->kind() != g_flags.backend) {
-    backend = exec::MakeBackend(g_flags.backend, ctx, g_flags.threads,
-                                g_flags.morsel);
+  if (backend == nullptr || backend->kind() != g_flags.exec.backend) {
+    backend = exec::MakeBackend(g_flags.exec.backend, ctx,
+                                g_flags.exec.threads,
+                                g_flags.exec.morsel_items);
   } else {
     backend->Rebind(ctx);
   }
@@ -234,7 +235,7 @@ inline void PrintBanner(const char* experiment, const char* description) {
   std::printf("scale: %s (REPRO_FULL=%d) backend: %s\n",
               TablePrinter::FmtCount(DefaultProbeTuples()).c_str(),
               GetEnvFlag("REPRO_FULL") ? 1 : 0,
-              BackendKindName(g_flags.backend));
+              BackendKindName(g_flags.exec.backend));
   std::printf("==============================================================\n");
 }
 

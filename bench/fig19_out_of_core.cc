@@ -150,7 +150,7 @@ void Run() {
   std::vector<uint64_t> sizes = {16ull << 20, 32ull << 20, 64ull << 20};
   if (GetEnvFlag("REPRO_FULL")) sizes.push_back(128ull << 20);
 
-  if (g_flags.stream == exec::StreamMode::kPipelined) {
+  if (g_flags.exec.stream == exec::StreamMode::kPipelined) {
     RunStreamComparison(sizes, buffer_bytes);
   } else {
     RunSerialFigure(sizes, buffer_bytes);

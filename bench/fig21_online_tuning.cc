@@ -41,7 +41,7 @@ double MeanDrift(const std::vector<double>& prev,
 void Run() {
   PrintBanner("Figure 21", "online tuning: per-iteration time & ratio drift");
   const cost::TuneMode mode =
-      g_flags.tune_set ? g_flags.tune : cost::TuneMode::kOnline;
+      g_flags.tune_set ? g_flags.exec.tune : cost::TuneMode::kOnline;
   const data::Workload w =
       MakeWorkload(Scaled(4ull << 20), Scaled(16ull << 20),
                    data::Distribution::kHighSkew);

@@ -178,9 +178,9 @@ double RunEqualWork() {
   core::CoupledJoiner joiner(config);
 
   service::ServiceOptions sopts;
-  sopts.exec.backend = g_flags.backend;
-  sopts.exec.threads = g_flags.threads;
-  sopts.exec.morsel_items = g_flags.morsel;
+  sopts.exec.backend = g_flags.exec.backend;
+  sopts.exec.threads = g_flags.exec.threads;
+  sopts.exec.morsel_items = g_flags.exec.morsel_items;
   sopts.max_sessions = kSessions;
   service::JoinService svc(sopts);
   std::vector<std::unique_ptr<service::Session>> sessions;
@@ -244,9 +244,9 @@ void RunFairness() {
       MakeWorkload(Scaled(1ull << 16), Scaled(1ull << 18));
 
   service::ServiceOptions sopts;
-  sopts.exec.backend = g_flags.backend;
-  sopts.exec.threads = g_flags.threads;
-  sopts.exec.morsel_items = g_flags.morsel;
+  sopts.exec.backend = g_flags.exec.backend;
+  sopts.exec.threads = g_flags.exec.threads;
+  sopts.exec.morsel_items = g_flags.exec.morsel_items;
   sopts.max_sessions = kSessions;
   service::JoinService svc(sopts);
 
@@ -298,7 +298,7 @@ void RunFairness() {
 void Run() {
   PrintBanner("Figure 22",
               "concurrent sessions: throughput, tail latency, fairness");
-  int pool_slots = g_flags.threads;
+  int pool_slots = g_flags.exec.threads;
   if (pool_slots <= 0) {  // 0 = hardware concurrency (pool normalizes too)
     pool_slots = std::max(
         1, static_cast<int>(std::thread::hardware_concurrency()));
@@ -306,7 +306,7 @@ void Run() {
   std::printf("pool: %d worker slots, %d sessions\n", pool_slots, kSessions);
   const double speedup = RunEqualWork();
   RunFairness();
-  if (g_flags.backend == exec::BackendKind::kThreadPool) {
+  if (g_flags.exec.backend == exec::BackendKind::kThreadPool) {
     std::printf("\n4-session speedup over serialized: %.2fx (target >= 2x)\n",
                 speedup);
   }
@@ -320,10 +320,11 @@ int main(int argc, char** argv) {
   // This bench is about the service substrate: default to real threads (a
   // 4-slot pool) unless the caller chose explicitly.
   if (!apujoin::bench::g_flags.backend_set) {
-    apujoin::bench::g_flags.backend = apujoin::exec::BackendKind::kThreadPool;
+    apujoin::bench::g_flags.exec.backend =
+        apujoin::exec::BackendKind::kThreadPool;
   }
   if (!apujoin::bench::g_flags.threads_set) {
-    apujoin::bench::g_flags.threads = 4;
+    apujoin::bench::g_flags.exec.threads = 4;
   }
   apujoin::bench::Run();
 }

@@ -22,7 +22,7 @@ void Run() {
     // The L2 counters come from the set-associative CacheSim, which only
     // exists under the analytic backend.
     std::printf("note: Table 3 needs cache tracing; forcing --backend=sim\n");
-    g_flags.backend = exec::BackendKind::kSim;
+    g_flags.exec.backend = exec::BackendKind::kSim;
   }
   const uint64_t n = Scaled(16ull << 20);
   const data::Workload w = MakeWorkload(n, n);

@@ -14,20 +14,16 @@
 
 #include "cost/online_calibration.h"
 #include "exec/backend_kind.h"
+#include "exec/exec_options.h"
 #include "join/options.h"
 
 namespace apujoin::core {
 
 /// Parsed values of the flags every harness binary shares.
 struct HarnessFlags {
-  exec::BackendKind backend = exec::BackendKind::kSim;
-  int threads = 0;                         ///< --threads (0 = hw concurrency)
-  unsigned morsel = 0;                     ///< --morsel (0 = backend default)
-  exec::StreamMode stream = exec::StreamMode::kSerial;  ///< --stream
-  exec::HashLayout layout = exec::HashLayout::kChained;  ///< --layout
-  unsigned prefetch_dist = 16;             ///< --prefetch-dist (0 = off)
-  exec::FuseMode fuse = exec::FuseMode::kAuto;  ///< --fuse
-  cost::TuneMode tune = cost::TuneMode::kOff;
+  /// --backend, --threads, --morsel, --stream, --layout, --prefetch-dist,
+  /// --fuse and --tune, starting from the ExecOptions defaults.
+  exec::ExecOptions exec;
   bool backend_set = false;                ///< --backend given explicitly
   bool threads_set = false;                ///< --threads given explicitly
   bool morsel_set = false;                 ///< --morsel given explicitly
@@ -56,7 +52,7 @@ enum class HarnessArg {
 
 inline HarnessArg ParseHarnessArg(const char* arg, HarnessFlags* flags) {
   if (std::strncmp(arg, "--tune=", 7) == 0) {
-    if (!cost::ParseTuneMode(arg + 7, &flags->tune)) {
+    if (!cost::ParseTuneMode(arg + 7, &flags->exec.tune)) {
       std::fprintf(stderr,
                    "invalid value in '%s' (want --tune=off|once|online)\n",
                    arg);
@@ -74,7 +70,7 @@ inline HarnessArg ParseHarnessArg(const char* arg, HarnessFlags* flags) {
     flags->json_path = arg + 7;
     return HarnessArg::kConsumed;
   }
-  switch (exec::ParseMorselFlag(arg, &flags->morsel)) {
+  switch (exec::ParseMorselFlag(arg, &flags->exec.morsel_items)) {
     case exec::FlagParse::kOk:
       flags->morsel_set = true;
       return HarnessArg::kConsumed;
@@ -86,7 +82,7 @@ inline HarnessArg ParseHarnessArg(const char* arg, HarnessFlags* flags) {
     case exec::FlagParse::kNotMatched:
       break;
   }
-  switch (exec::ParseStreamFlag(arg, &flags->stream)) {
+  switch (exec::ParseStreamFlag(arg, &flags->exec.stream)) {
     case exec::FlagParse::kOk:
       flags->stream_set = true;
       return HarnessArg::kConsumed;
@@ -98,7 +94,7 @@ inline HarnessArg ParseHarnessArg(const char* arg, HarnessFlags* flags) {
     case exec::FlagParse::kNotMatched:
       break;
   }
-  switch (exec::ParseLayoutFlag(arg, &flags->layout)) {
+  switch (exec::ParseLayoutFlag(arg, &flags->exec.layout)) {
     case exec::FlagParse::kOk:
       flags->layout_set = true;
       return HarnessArg::kConsumed;
@@ -110,7 +106,7 @@ inline HarnessArg ParseHarnessArg(const char* arg, HarnessFlags* flags) {
     case exec::FlagParse::kNotMatched:
       break;
   }
-  switch (exec::ParseFuseFlag(arg, &flags->fuse)) {
+  switch (exec::ParseFuseFlag(arg, &flags->exec.fuse)) {
     case exec::FlagParse::kOk:
       flags->fuse_set = true;
       return HarnessArg::kConsumed;
@@ -121,7 +117,7 @@ inline HarnessArg ParseHarnessArg(const char* arg, HarnessFlags* flags) {
     case exec::FlagParse::kNotMatched:
       break;
   }
-  switch (exec::ParsePrefetchFlag(arg, &flags->prefetch_dist)) {
+  switch (exec::ParsePrefetchFlag(arg, &flags->exec.prefetch_dist)) {
     case exec::FlagParse::kOk:
       flags->prefetch_set = true;
       return HarnessArg::kConsumed;
@@ -134,7 +130,8 @@ inline HarnessArg ParseHarnessArg(const char* arg, HarnessFlags* flags) {
     case exec::FlagParse::kNotMatched:
       break;
   }
-  switch (exec::ParseBackendFlag(arg, &flags->backend, &flags->threads)) {
+  switch (exec::ParseBackendFlag(arg, &flags->exec.backend,
+                                  &flags->exec.threads)) {
     case exec::FlagParse::kOk:
       if (std::strncmp(arg, "--backend=", 10) == 0) {
         flags->backend_set = true;
@@ -155,17 +152,10 @@ inline HarnessArg ParseHarnessArg(const char* arg, HarnessFlags* flags) {
                                          : HarnessArg::kPositional;
 }
 
-/// Stamps the parsed backend/tune selection into engine options.
+/// Stamps the parsed execution options into engine options.
 inline void ApplyHarnessFlags(const HarnessFlags& flags,
                               join::EngineOptions* engine) {
-  engine->backend = flags.backend;
-  engine->threads = flags.threads;
-  engine->morsel_items = flags.morsel;
-  engine->stream = flags.stream;
-  engine->layout = flags.layout;
-  engine->prefetch_dist = flags.prefetch_dist;
-  engine->fuse = flags.fuse;
-  engine->tune = flags.tune;
+  static_cast<exec::ExecOptions&>(*engine) = flags.exec;
 }
 
 }  // namespace apujoin::core
