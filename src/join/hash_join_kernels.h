@@ -75,13 +75,14 @@ decltype(auto) WithKernelTypes(exec::HashLayout layout, bool wide, Fn&& fn) {
   });
 }
 
-/// Open-layout slot ids are only valid in the table that issued them
-/// (chained key nodes are global pool indices, valid in every table). With
-/// separate per-device tables, b3 and b4 of one tuple may run on different
-/// devices — the pipelined scheme gives the steps different ratios — so b3
-/// tags a slot id issued by a GPU-private table and b4 addresses the
-/// issuing table. Slot ids stay below the tag bit (at most 2^27 buckets of
-/// 8 slots).
+/// With separate per-device tables, b3 and b4 of one tuple may run on
+/// different devices — the pipelined scheme gives the steps different
+/// ratios — so b3 tags a key id issued by a GPU-private table and b4
+/// addresses the issuing table: an open-layout slot id is only valid in
+/// that table, and a chained key node (a global pool index) must have its
+/// rid counted in that table's bucket, the one the merge carries over. Key
+/// ids stay below the tag bit (at most 2^27 buckets of 8 slots; key pools
+/// are sized by the build side).
 inline constexpr int32_t kGpuSlotTag = int32_t{1} << 30;
 
 /// SHJ's table selector: every item addresses the one table — except a
@@ -344,8 +345,8 @@ std::vector<StepDef> HashJoinEngineBase::BuildSeries(const Tables& tables,
         }
         if (r_keynode[i] == kNil) {
           *overflowed = true;
-        } else if constexpr (kIsOpenTable<Table>) {
-          if (dev == simcl::DeviceId::kGpu) r_keynode[i] |= kGpuSlotTag;
+        } else if (dev == simcl::DeviceId::kGpu) {
+          r_keynode[i] |= kGpuSlotTag;
         }
       }
       total += RecordWork(lw, m, i, work);
@@ -362,14 +363,10 @@ std::vector<StepDef> HashJoinEngineBase::BuildSeries(const Tables& tables,
                const Morsel& m, simcl::DeviceId dev, uint32_t* lw) -> uint64_t {
     for (uint64_t i = m.begin; i < m.end; ++i) {
       if (r_keynode[i] == kNil) continue;
-      int32_t node = r_keynode[i];
-      simcl::DeviceId issuer = dev;
-      if constexpr (kIsOpenTable<Table>) {
-        issuer = (node & kGpuSlotTag) != 0 ? simcl::DeviceId::kGpu
-                                           : simcl::DeviceId::kCpu;
-        node &= ~kGpuSlotTag;
-      }
-      Table* t = tables.Build(i, issuer);
+      const int32_t node = r_keynode[i] & ~kGpuSlotTag;
+      Table* t = tables.Build(i, (r_keynode[i] & kGpuSlotTag) != 0
+                                     ? simcl::DeviceId::kGpu
+                                     : simcl::DeviceId::kCpu);
       if (!t->InsertRid(node, r_rids[i], dev, WorkgroupOf(i))) {
         *overflowed = true;
         continue;

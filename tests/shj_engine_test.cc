@@ -120,6 +120,31 @@ TEST_F(ShjEngineTest, BuildStepsPopulateTable) {
   EXPECT_EQ(engine.table()->TotalCount(), w.build.size());
 }
 
+TEST_F(ShjEngineTest, SeparateTablesMergeCarriesBucketCounts) {
+  // b3 on the CPU, b4 on the GPU: each tuple's rid is counted in the table
+  // that issued its key (the CPU table), so the merged table's per-bucket
+  // counts — p2's grouping workload estimate — cover every live build rid.
+  const data::Workload w = MakeWorkload(1 << 12, 64);
+  for (exec::HashLayout layout :
+       {exec::HashLayout::kChained, exec::HashLayout::kOpenAddressing}) {
+    SCOPED_TRACE(exec::HashLayoutName(layout));
+    EngineOptions opts;
+    opts.shared_table = false;
+    opts.layout = layout;
+    ShjEngine engine(&ctx_, &w.build, &w.probe, opts);
+    ASSERT_TRUE(engine.Prepare().ok());
+    std::vector<StepDef> bsteps = engine.BuildSteps();
+    SeriesOptions bopts;
+    bopts.ratios = {0.5, 0.5, 1.0, 0.0};
+    RunSeries(&ctx_, bsteps, bopts);
+    engine.MergeSeparateTables();
+    const uint64_t total = layout == exec::HashLayout::kChained
+                               ? engine.table()->TotalCount()
+                               : engine.open_table()->TotalCount();
+    EXPECT_EQ(total, w.build.size());
+  }
+}
+
 TEST_F(ShjEngineTest, ZeroSelectivityYieldsNoMatches) {
   const data::Workload w = MakeWorkload(1 << 8, 1 << 10, 0.0);
   ShjEngine engine(&ctx_, &w.build, &w.probe, EngineOptions());
