@@ -2,20 +2,12 @@
 
 namespace apujoin::alloc {
 
-int64_t BasicAllocator::Allocate(uint32_t count, simcl::DeviceId dev,
-                                 uint32_t /*workgroup*/) {
-  const int di = static_cast<int>(dev);
-  // counts_ updates are relaxed: statistics only (see AtomicAllocCounts).
-  counts_.requests[di].fetch_add(1, std::memory_order_relaxed);
+int64_t BasicAllocator::Refill(AllocRun& run, uint32_t count) {
   // The latched pointer bump.
-  counts_.global_atomics[di].fetch_add(1, std::memory_order_relaxed);
+  ++run.tally_.global_atomics;
   const int64_t idx = arena_->Reserve(count);
-  if (idx < 0) counts_.failed.fetch_add(1, std::memory_order_relaxed);
+  if (idx < 0) ++run.tally_.failed;
   return idx;
 }
-
-AllocCounts BasicAllocator::TakeCounts() { return counts_.Take(); }
-
-void BasicAllocator::Reset() { counts_.Take(); }
 
 }  // namespace apujoin::alloc

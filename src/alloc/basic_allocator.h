@@ -6,27 +6,24 @@
 #ifndef APUJOIN_ALLOC_BASIC_ALLOCATOR_H_
 #define APUJOIN_ALLOC_BASIC_ALLOCATOR_H_
 
-#include <atomic>
-
 #include "alloc/allocator.h"
 #include "alloc/arena.h"
 
 namespace apujoin::alloc {
 
-/// One-global-pointer allocator: every Allocate is one global atomic.
+/// One-global-pointer allocator: every request is one global atomic, run or
+/// no run (a run never holds a block, so each call reaches Refill).
 class BasicAllocator : public Allocator {
  public:
   explicit BasicAllocator(Arena* arena) : arena_(arena) {}
 
-  int64_t Allocate(uint32_t count, simcl::DeviceId dev,
-                   uint32_t workgroup) override;
-  AllocCounts TakeCounts() override;
-  void Reset() override;
   AllocatorKind kind() const override { return AllocatorKind::kBasic; }
+
+ protected:
+  int64_t Refill(AllocRun& run, uint32_t count) override;
 
  private:
   Arena* arena_;
-  AtomicAllocCounts counts_;
 };
 
 }  // namespace apujoin::alloc

@@ -28,9 +28,6 @@ class BlockAllocator : public Allocator {
   /// basic allocator's behaviour.
   BlockAllocator(Arena* arena, uint32_t block_bytes = 2048);
 
-  int64_t Allocate(uint32_t count, simcl::DeviceId dev,
-                   uint32_t workgroup) override;
-  AllocCounts TakeCounts() override;
   void Reset() override;
   AllocatorKind kind() const override { return AllocatorKind::kOptimized; }
 
@@ -40,11 +37,20 @@ class BlockAllocator : public Allocator {
   /// Number of distinct work-group cache slots per device.
   static constexpr uint32_t kWorkgroupSlots = 1024;
 
+ protected:
+  /// Attaches the run's work-group slot on first use, then refills.
+  int64_t Refill(AllocRun& run, uint32_t count) override;
+  void Detach(AllocRun& run) override;
+
  private:
   /// One (device, work group) block cache. Distinct work groups may share a
   /// slot (workgroup ids wrap at kWorkgroupSlots), so under the thread-pool
   /// backend two workers can hit one slot concurrently; the spinlock is the
-  /// work group's "local memory" serialisation made explicit.
+  /// work group's "local memory" serialisation made explicit. An AllocRun
+  /// holds the lock from its first allocation in the work group until it
+  /// leaves it, with cur/end copied into the run meanwhile; the slot is
+  /// therefore touched once per run, not once per allocation, and needs no
+  /// cache-line padding.
   struct Cache {
     annotated::SpinLock lock;
     int64_t cur GUARDED_BY(lock) = 0;
@@ -55,7 +61,6 @@ class BlockAllocator : public Allocator {
   uint32_t block_bytes_;
   uint32_t block_elems_;
   std::vector<Cache> cache_;  // kNumDevices * kWorkgroupSlots
-  AtomicAllocCounts counts_;
 };
 
 }  // namespace apujoin::alloc

@@ -297,6 +297,7 @@ std::vector<StepDef> HashJoinEngineBase::BuildSeries(const Tables& tables,
   uint32_t* r_hash = r_hash_.data();
   uint32_t* r_bucket = r_bucket_.data();
   int32_t* r_keynode = r_keynode_.data();
+  NodePools* pools = pools_.get();
   std::atomic<bool>* overflowed = &overflowed_;
   std::vector<StepDef> steps;
 
@@ -324,8 +325,9 @@ std::vector<StepDef> HashJoinEngineBase::BuildSeries(const Tables& tables,
                    ? OpenKeyInsertProfile(c.table_bytes, opts_.locality_boost)
                    : KeyInsertProfile(c.table_bytes, opts_.locality_boost);
   b3.items = n;
-  b3.run = [tables, bf, dist, rk, r_bucket, r_keynode, overflowed](
+  b3.run = [tables, pools, bf, dist, rk, r_bucket, r_keynode, overflowed](
                const Morsel& m, simcl::DeviceId dev, uint32_t* lw) -> uint64_t {
+    NodeRun keys(pools->key_allocator(), dev, WorkgroupOf(m.begin));
     uint64_t total = 0;
     for (uint64_t i = m.begin; i < m.end; ++i) {
       if (dist != 0 && i + dist < m.end) {
@@ -336,12 +338,12 @@ std::vector<StepDef> HashJoinEngineBase::BuildSeries(const Tables& tables,
         r_keynode[i] = kNil;  // fused-select dead lane: never inserted
       } else {
         Table* t = tables.Build(i, dev);
+        keys.SetWorkgroup(WorkgroupOf(i));
         if constexpr (kWide) {
           r_keynode[i] = t->FindOrAddKeyWide(r_bucket[i], rk.lo[i], rk.hi[i],
-                                             dev, WorkgroupOf(i), &work);
+                                             keys, &work);
         } else {
-          r_keynode[i] = t->FindOrAddKey(r_bucket[i], rk.lo[i], dev,
-                                         WorkgroupOf(i), &work);
+          r_keynode[i] = t->FindOrAddKey(r_bucket[i], rk.lo[i], keys, &work);
         }
         if (r_keynode[i] == kNil) {
           *overflowed = true;
@@ -359,15 +361,17 @@ std::vector<StepDef> HashJoinEngineBase::BuildSeries(const Tables& tables,
   b4.name = "b4";
   b4.profile = RidInsertProfile(c.table_bytes);
   b4.items = n;
-  b4.run = [tables, r_rids, r_bucket, r_keynode, overflowed](
+  b4.run = [tables, pools, r_rids, r_bucket, r_keynode, overflowed](
                const Morsel& m, simcl::DeviceId dev, uint32_t* lw) -> uint64_t {
+    NodeRun rids(pools->rid_allocator(), dev, WorkgroupOf(m.begin));
     for (uint64_t i = m.begin; i < m.end; ++i) {
       if (r_keynode[i] == kNil) continue;
       const int32_t node = r_keynode[i] & ~kGpuSlotTag;
       Table* t = tables.Build(i, (r_keynode[i] & kGpuSlotTag) != 0
                                      ? simcl::DeviceId::kGpu
                                      : simcl::DeviceId::kCpu);
-      if (!t->InsertRid(node, r_rids[i], dev, WorkgroupOf(i))) {
+      rids.SetWorkgroup(WorkgroupOf(i));
+      if (!t->InsertRid(node, r_rids[i], rids)) {
         *overflowed = true;
         continue;
       }
@@ -503,19 +507,19 @@ std::vector<StepDef> HashJoinEngineBase::ProbeSeries(const Tables& tables,
                const Morsel& m, simcl::DeviceId dev, uint32_t* lw) -> uint64_t {
     const uint32_t* perm = perm_vec->empty() ? nullptr : perm_vec->data();
     const bool keyed = out->captures_keys();
+    ResultWriter::Run run(out, dev, WorkgroupOf(m.begin));
     uint64_t total = 0;
     for (uint64_t i = m.begin; i < m.end; ++i) {
       const uint64_t j = perm != nullptr ? perm[i] : i;
       uint32_t work = 1;
       if (s_keynode[j] != kNil) {
         const int32_t srid = s_rids[j];
-        const uint32_t wg = WorkgroupOf(i);
         const int32_t skey = s_keys[j];
+        run.SetWorkgroup(WorkgroupOf(i));
         work += tables.Probe(j)->ForEachRid(
-            s_keynode[j],
-            [out, keyed, skey, srid, dev, wg, overflowed](int32_t brid) {
-              const bool ok = keyed ? out->Emit(skey, brid, srid, dev, wg)
-                                    : out->Emit(brid, srid, dev, wg);
+            s_keynode[j], [&run, keyed, skey, srid, overflowed](int32_t brid) {
+              const bool ok =
+                  keyed ? run.Emit(skey, brid, srid) : run.Emit(brid, srid);
               if (!ok) *overflowed = true;
             });
       }

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "alloc/basic_allocator.h"
-#include "alloc/block_allocator.h"
 #include "util/murmur_hash.h"
 
 namespace apujoin::join {
@@ -17,17 +15,6 @@ uint32_t NextPow2(uint64_t n) {
   return p;
 }
 
-namespace {
-std::unique_ptr<alloc::Allocator> MakeAllocator(alloc::Arena* arena,
-                                                alloc::AllocatorKind kind,
-                                                uint32_t block_bytes) {
-  if (kind == alloc::AllocatorKind::kBasic) {
-    return std::make_unique<alloc::BasicAllocator>(arena);
-  }
-  return std::make_unique<alloc::BlockAllocator>(arena, block_bytes);
-}
-}  // namespace
-
 NodePools::NodePools(uint64_t key_capacity, uint64_t rid_capacity,
                      alloc::AllocatorKind kind, uint32_t block_bytes,
                      bool wide_keys)
@@ -39,18 +26,8 @@ NodePools::NodePools(uint64_t key_capacity, uint64_t rid_capacity,
       rid_next(rid_capacity),
       key_arena_(key_capacity, /*elem_bytes=*/wide_keys ? 16u : 12u),
       rid_arena_(rid_capacity, /*elem_bytes=*/8) {
-  key_alloc_ = MakeAllocator(&key_arena_, kind, block_bytes);
-  rid_alloc_ = MakeAllocator(&rid_arena_, kind, block_bytes);
-}
-
-int32_t NodePools::AllocKey(simcl::DeviceId dev, uint32_t workgroup) {
-  const int64_t idx = key_alloc_->Allocate(1, dev, workgroup);
-  return idx < 0 ? kNil : static_cast<int32_t>(idx);
-}
-
-int32_t NodePools::AllocRid(simcl::DeviceId dev, uint32_t workgroup) {
-  const int64_t idx = rid_alloc_->Allocate(1, dev, workgroup);
-  return idx < 0 ? kNil : static_cast<int32_t>(idx);
+  key_alloc_ = alloc::MakeAllocator(&key_arena_, kind, block_bytes);
+  rid_alloc_ = alloc::MakeAllocator(&rid_arena_, kind, block_bytes);
 }
 
 alloc::AllocCounts NodePools::TakeCounts() {
@@ -86,8 +63,7 @@ int32_t HashTable::VisitHeader(uint32_t bucket, int32_t* count) const {
   return head_[bucket].load(std::memory_order_acquire);
 }
 
-int32_t HashTable::FindOrAddKey(uint32_t bucket, int32_t key,
-                                simcl::DeviceId dev, uint32_t workgroup,
+int32_t HashTable::FindOrAddKey(uint32_t bucket, int32_t key, NodeRun& keys,
                                 uint32_t* work) {
   Touch(&head_[bucket]);  // the list head load below
   uint32_t traversed = 1;
@@ -104,7 +80,7 @@ int32_t HashTable::FindOrAddKey(uint32_t bucket, int32_t key,
       node = pools_->key_next[node].load(std::memory_order_acquire);
     }
     // Not found: allocate a node and push it at the head.
-    const int32_t ni = pools_->AllocKey(dev, workgroup);
+    const int32_t ni = keys.AllocNode();
     if (ni == kNil) {
       *work += traversed;
       return kNil;
@@ -119,8 +95,7 @@ int32_t HashTable::FindOrAddKey(uint32_t bucket, int32_t key,
     // head; acquire orders our re-scan when we lose the race.
     if (head_[bucket].compare_exchange_strong(expected, ni,
                                               std::memory_order_acq_rel)) {
-      // relaxed: statistics counter.
-      keys_inserted_.fetch_add(1, std::memory_order_relaxed);
+      keys.CountInsert(&keys_inserted_);
       *work += traversed;
       return ni;
     }
@@ -131,8 +106,8 @@ int32_t HashTable::FindOrAddKey(uint32_t bucket, int32_t key,
 }
 
 int32_t HashTable::FindOrAddKeyWide(uint32_t bucket, int32_t key_lo,
-                                    int32_t key_hi, simcl::DeviceId dev,
-                                    uint32_t workgroup, uint32_t* work) {
+                                    int32_t key_hi, NodeRun& keys,
+                                    uint32_t* work) {
   Touch(&head_[bucket]);  // the list head load below
   uint32_t traversed = 1;
   while (true) {
@@ -151,7 +126,7 @@ int32_t HashTable::FindOrAddKeyWide(uint32_t bucket, int32_t key_lo,
       node = pools_->key_next[node].load(std::memory_order_acquire);
     }
     // Not found: allocate a node and push it at the head.
-    const int32_t ni = pools_->AllocKey(dev, workgroup);
+    const int32_t ni = keys.AllocNode();
     if (ni == kNil) {
       *work += traversed;
       return kNil;
@@ -167,7 +142,7 @@ int32_t HashTable::FindOrAddKeyWide(uint32_t bucket, int32_t key_lo,
     // acq_rel: same publication contract as the narrow FindOrAddKey.
     if (head_[bucket].compare_exchange_strong(expected, ni,
                                               std::memory_order_acq_rel)) {
-      keys_inserted_.fetch_add(1, std::memory_order_relaxed);
+      keys.CountInsert(&keys_inserted_);
       *work += traversed;
       return ni;
     }
@@ -175,9 +150,8 @@ int32_t HashTable::FindOrAddKeyWide(uint32_t bucket, int32_t key_lo,
   }
 }
 
-bool HashTable::InsertRid(int32_t key_node, int32_t rid, simcl::DeviceId dev,
-                          uint32_t workgroup) {
-  const int32_t ni = pools_->AllocRid(dev, workgroup);
+bool HashTable::InsertRid(int32_t key_node, int32_t rid, NodeRun& rids) {
+  const int32_t ni = rids.AllocNode();
   if (ni == kNil) return false;
   pools_->rid_value[ni] = rid;
   Touch(&pools_->rid_value[ni]);
@@ -190,8 +164,7 @@ bool HashTable::InsertRid(int32_t key_node, int32_t rid, simcl::DeviceId dev,
     pools_->rid_next[ni] = old;
   } while (!pools_->rid_head[key_node].compare_exchange_weak(
       old, ni, std::memory_order_acq_rel));
-  // relaxed: statistics counter.
-  rids_inserted_.fetch_add(1, std::memory_order_relaxed);
+  rids.CountInsert(&rids_inserted_);
   return true;
 }
 
@@ -239,6 +212,8 @@ std::pair<uint64_t, uint64_t> HashTable::MergeFrom(const HashTable& other,
                                                    simcl::DeviceId dev) {
   uint64_t keys_moved = 0;
   uint64_t rids_moved = 0;
+  NodeRun keys(pools_->key_allocator(), dev);
+  NodeRun rids(pools_->rid_allocator(), dev);
   // All loads from `other` are relaxed: MergeFrom runs after the span
   // barrier that built `other`, so its lists are quiescent and already
   // synchronised with this thread.
@@ -254,15 +229,14 @@ std::pair<uint64_t, uint64_t> HashTable::MergeFrom(const HashTable& other,
               ? b
               : BucketOf(MurmurHash2x4(static_cast<uint32_t>(key)) >> shift);
       uint32_t work = 0;
-      const int32_t dst = FindOrAddKey(bucket, key, dev, /*workgroup=*/0,
-                                       &work);
+      const int32_t dst = FindOrAddKey(bucket, key, keys, &work);
       if (dst == kNil) return {keys_moved, rids_moved};
       ++keys_moved;
       // relaxed: quiescent source table (see loop header comment).
       for (int32_t rn =
                other.pools_->rid_head[kn].load(std::memory_order_relaxed);
            rn != kNil; rn = other.pools_->rid_next[rn]) {
-        if (!InsertRid(dst, other.pools_->rid_value[rn], dev, 0)) {
+        if (!InsertRid(dst, other.pools_->rid_value[rn], rids)) {
           return {keys_moved, rids_moved};
         }
         ++rids_moved;

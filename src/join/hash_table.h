@@ -49,10 +49,10 @@ class NodePools {
             alloc::AllocatorKind kind, uint32_t block_bytes,
             bool wide_keys = false);
 
-  /// Allocates one key node; kNil when exhausted.
-  int32_t AllocKey(simcl::DeviceId dev, uint32_t workgroup);
-  /// Allocates one rid node; kNil when exhausted.
-  int32_t AllocRid(simcl::DeviceId dev, uint32_t workgroup);
+  /// The key-node and rid-node allocators; kernels allocate through a
+  /// NodeRun over one of them.
+  alloc::Allocator* key_allocator() { return key_alloc_.get(); }
+  alloc::Allocator* rid_allocator() { return rid_alloc_.get(); }
 
   /// Drains allocator op counts (key + rid allocators combined).
   alloc::AllocCounts TakeCounts();
@@ -77,6 +77,46 @@ class NodePools {
   alloc::Arena rid_arena_;
   std::unique_ptr<alloc::Allocator> key_alloc_;
   std::unique_ptr<alloc::Allocator> rid_alloc_;
+};
+
+/// A run of node insertions by one (morsel, device): b3's key nodes or
+/// b4's rid nodes. It allocates through an AllocRun over the pool's key or
+/// rid allocator and counts the nodes it publishes into a table, flushing
+/// that count into the table's statistics counter when the run moves to
+/// another table (PHJ's partitions) or closes — once per run, not per item.
+class NodeRun {
+ public:
+  NodeRun(alloc::Allocator* nodes, simcl::DeviceId dev, uint32_t workgroup = 0)
+      : nodes_(nodes, dev, workgroup) {}
+  NodeRun(const NodeRun&) = delete;
+  NodeRun& operator=(const NodeRun&) = delete;
+  ~NodeRun() { FlushInserts(); }
+
+  void SetWorkgroup(uint32_t workgroup) { nodes_.SetWorkgroup(workgroup); }
+
+  /// One node index, or kNil when the arena is exhausted.
+  int32_t AllocNode() { return static_cast<int32_t>(nodes_.Allocate()); }
+
+  /// Counts one node published into the table whose counter is `counter`.
+  void CountInsert(std::atomic<uint64_t>* counter) {
+    if (counter != counter_) {
+      FlushInserts();
+      counter_ = counter;
+    }
+    ++pending_;
+  }
+
+ private:
+  void FlushInserts() {
+    if (pending_ == 0) return;
+    // relaxed: statistics counter, read after the span barrier.
+    counter_->fetch_add(pending_, std::memory_order_relaxed);
+    pending_ = 0;
+  }
+
+  alloc::AllocRun nodes_;
+  std::atomic<uint64_t>* counter_ = nullptr;
+  uint64_t pending_ = 0;
 };
 
 /// Chained hash table with bucket headers, key lists and rid lists.
@@ -106,24 +146,43 @@ class HashTable {
   int32_t VisitHeader(uint32_t bucket, int32_t* count = nullptr) const;
 
   /// Step b3: find key in the bucket's key list, appending a new key node
-  /// if absent. Returns the key node index (or kNil if the arena is
+  /// (allocated through `keys`, a run over the pools' key allocator) if
+  /// absent. Returns the key node index (or kNil if the arena is
   /// exhausted). `*work` is incremented by the number of list nodes
   /// traversed (>= 1) — the step's data-dependent work units.
-  int32_t FindOrAddKey(uint32_t bucket, int32_t key, simcl::DeviceId dev,
-                       uint32_t workgroup, uint32_t* work);
+  int32_t FindOrAddKey(uint32_t bucket, int32_t key, NodeRun& keys,
+                       uint32_t* work);
 
   /// Wide-key b3: like FindOrAddKey but matching both canonical key words.
   /// Comparison order mirrors the probe contract: lo first (the hash word
   /// for dict-strings), hi second (the dictionary code). Requires pools
   /// constructed with wide_keys = true.
   int32_t FindOrAddKeyWide(uint32_t bucket, int32_t key_lo, int32_t key_hi,
-                           simcl::DeviceId dev, uint32_t workgroup,
-                           uint32_t* work);
+                           NodeRun& keys, uint32_t* work);
 
-  /// Step b4: insert `rid` into the key node's rid list. Returns false if
-  /// the rid arena is exhausted.
+  /// Step b4: insert `rid` into the key node's rid list, allocating through
+  /// `rids` (a run over the pools' rid allocator). Returns false if the rid
+  /// arena is exhausted.
+  bool InsertRid(int32_t key_node, int32_t rid, NodeRun& rids);
+
+  // One-call forms of the three above: a run of one insertion by (`dev`,
+  // `workgroup`).
+  int32_t FindOrAddKey(uint32_t bucket, int32_t key, simcl::DeviceId dev,
+                       uint32_t workgroup, uint32_t* work) {
+    NodeRun keys(pools_->key_allocator(), dev, workgroup);
+    return FindOrAddKey(bucket, key, keys, work);
+  }
+  int32_t FindOrAddKeyWide(uint32_t bucket, int32_t key_lo, int32_t key_hi,
+                           simcl::DeviceId dev, uint32_t workgroup,
+                           uint32_t* work) {
+    NodeRun keys(pools_->key_allocator(), dev, workgroup);
+    return FindOrAddKeyWide(bucket, key_lo, key_hi, keys, work);
+  }
   bool InsertRid(int32_t key_node, int32_t rid, simcl::DeviceId dev,
-                 uint32_t workgroup);
+                 uint32_t workgroup) {
+    NodeRun rids(pools_->rid_allocator(), dev, workgroup);
+    return InsertRid(key_node, rid, rids);
+  }
 
   /// Increments the bucket's tuple count (done by the b4 step, which knows
   /// the tuple's bucket from the b2 intermediate state).

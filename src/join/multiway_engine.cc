@@ -188,6 +188,7 @@ std::vector<StepDef> MultiwayEngine::ChainStepsT(ResultWriter* out) {
   m4.run = [tables, keynodes, last, out, s_rids, s_keys, s_alive, overflowed](
                const Morsel& m, DeviceId dev, uint32_t* lw) -> uint64_t {
     const bool keyed = out->captures_keys();
+    ResultWriter::Run run(out, dev, WorkgroupOf(m.begin));
     uint64_t total = 0;
     for (uint64_t i = m.begin; i < m.end; ++i) {
       uint32_t work = 1;
@@ -198,14 +199,14 @@ std::vector<StepDef> MultiwayEngine::ChainStepsT(ResultWriter* out) {
         }
         const int32_t srid = s_rids[i];
         const int32_t skey = s_keys[i];
-        const uint32_t wg = WorkgroupOf(i);
+        run.SetWorkgroup(WorkgroupOf(i));
         if (prod > 0) {
           work += tables[last]->ForEachRid(
-              keynodes[last][i], [out, keyed, skey, srid, dev, wg, prod,
-                                  overflowed](int32_t brid) {
+              keynodes[last][i],
+              [&run, keyed, skey, srid, prod, overflowed](int32_t brid) {
                 for (uint64_t c = 0; c < prod; ++c) {
-                  const bool ok = keyed ? out->Emit(skey, brid, srid, dev, wg)
-                                        : out->Emit(brid, srid, dev, wg);
+                  const bool ok = keyed ? run.Emit(skey, brid, srid)
+                                        : run.Emit(brid, srid);
                   if (!ok) *overflowed = true;
                 }
               });

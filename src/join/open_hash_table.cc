@@ -69,8 +69,7 @@ uint32_t OpenHashTable::VisitHeader(uint32_t bucket, int32_t* count) const {
 }
 
 int32_t OpenHashTable::FindOrAddKey(uint32_t home_bucket, int32_t key,
-                                    simcl::DeviceId /*dev*/,
-                                    uint32_t /*workgroup*/, uint32_t* work) {
+                                    NodeRun& keys, uint32_t* work) {
   uint32_t probed = 0;
   uint32_t b = home_bucket;
   for (uint32_t step = 0; step < num_buckets_; ++step) {
@@ -108,7 +107,7 @@ int32_t OpenHashTable::FindOrAddKey(uint32_t home_bucket, int32_t key,
         // Unlock and publish the new slot in one release store; the key
         // write above is ordered before it.
         state_[b].store(locked_cnt + 1, std::memory_order_release);
-        keys_inserted_.fetch_add(1, std::memory_order_relaxed);
+        keys.CountInsert(&keys_inserted_);
         *work += probed;
         return static_cast<int32_t>(base + locked_cnt);
       }
@@ -123,9 +122,7 @@ int32_t OpenHashTable::FindOrAddKey(uint32_t home_bucket, int32_t key,
 }
 
 int32_t OpenHashTable::FindOrAddKeyWide(uint32_t home_bucket, int32_t key_lo,
-                                        int32_t key_hi,
-                                        simcl::DeviceId /*dev*/,
-                                        uint32_t /*workgroup*/,
+                                        int32_t key_hi, NodeRun& keys,
                                         uint32_t* work) {
   uint32_t probed = 0;
   uint32_t b = home_bucket;
@@ -165,7 +162,7 @@ int32_t OpenHashTable::FindOrAddKeyWide(uint32_t home_bucket, int32_t key_lo,
         // Unlock and publish the new slot in one release store; both key
         // word writes above are ordered before it.
         state_[b].store(locked_cnt + 1, std::memory_order_release);
-        keys_inserted_.fetch_add(1, std::memory_order_relaxed);
+        keys.CountInsert(&keys_inserted_);
         *work += probed;
         return static_cast<int32_t>(base + locked_cnt);
       }
@@ -179,9 +176,8 @@ int32_t OpenHashTable::FindOrAddKeyWide(uint32_t home_bucket, int32_t key_lo,
   return kNil;  // every bucket full
 }
 
-bool OpenHashTable::InsertRid(int32_t slot, int32_t rid, simcl::DeviceId dev,
-                              uint32_t workgroup) {
-  const int32_t ni = pools_->AllocRid(dev, workgroup);
+bool OpenHashTable::InsertRid(int32_t slot, int32_t rid, NodeRun& rids) {
+  const int32_t ni = rids.AllocNode();
   if (ni == kNil) return false;
   pools_->rid_value[ni] = rid;
   Touch(&pools_->rid_value[ni]);
@@ -194,8 +190,7 @@ bool OpenHashTable::InsertRid(int32_t slot, int32_t rid, simcl::DeviceId dev,
     pools_->rid_next[ni] = old;
   } while (!rid_head_[slot].compare_exchange_weak(
       old, ni, std::memory_order_acq_rel));
-  // relaxed: statistics counter.
-  rids_inserted_.fetch_add(1, std::memory_order_relaxed);
+  rids.CountInsert(&rids_inserted_);
   return true;
 }
 
@@ -303,6 +298,8 @@ std::pair<uint64_t, uint64_t> OpenHashTable::MergeFrom(
     const OpenHashTable& other, uint32_t shift, simcl::DeviceId dev) {
   uint64_t keys_moved = 0;
   uint64_t rids_moved = 0;
+  NodeRun keys(pools_->key_allocator(), dev);
+  NodeRun rids(pools_->rid_allocator(), dev);
   // All loads from `other` are relaxed: MergeFrom runs after the span
   // barrier that built `other`, so its buckets are quiescent and already
   // synchronised with this thread.
@@ -317,14 +314,14 @@ std::pair<uint64_t, uint64_t> OpenHashTable::MergeFrom(
       const uint32_t home = BucketOf(
           MurmurHash2x4(static_cast<uint32_t>(key)) >> shift);
       uint32_t work = 0;
-      const int32_t dst = FindOrAddKey(home, key, dev, /*workgroup=*/0, &work);
+      const int32_t dst = FindOrAddKey(home, key, keys, &work);
       if (dst == kNil) return {keys_moved, rids_moved};
       ++keys_moved;
       // relaxed: quiescent source table (see loop header comment).
       for (int32_t rn =
                other.rid_head_[base + s].load(std::memory_order_relaxed);
            rn != kNil; rn = other.pools_->rid_next[rn]) {
-        if (!InsertRid(dst, other.pools_->rid_value[rn], dev, 0)) {
+        if (!InsertRid(dst, other.pools_->rid_value[rn], rids)) {
           return {keys_moved, rids_moved};
         }
         ++rids_moved;

@@ -30,8 +30,9 @@
 // state word*, not a lock object, so it cannot be expressed as a clang TSA
 // capability (GUARDED_BY needs a nameable lock per guarded field, and here
 // one dynamic bit guards eight key slots of the same array). This file is
-// therefore one of the two documented TSA blind spots in the library (the
-// other is ThreadPoolBackend::Job); the protocol is instead verified by
+// therefore one of the three documented TSA blind spots in the library
+// (the others are ThreadPoolBackend::Job and the slot lock an AllocRun
+// holds across calls); the protocol is instead verified by
 // the TSan preset (-DAPUJOIN_SANITIZE=thread) and the per-operation
 // memory-order comments in open_hash_table.cc.
 
@@ -56,9 +57,8 @@ uint32_t OpenBucketsFor(uint64_t build_tuples);
 
 /// Open-addressing hash table: 8-slot key buckets with linear probing,
 /// per-slot rid lists carved from a shared NodePools rid arena.
-/// Shares HashTable's method surface (see hash_table.h); the parameters
-/// only the chained layout uses (allocator device/work group on key
-/// insertion) are accepted and ignored.
+/// Shares HashTable's method surface (see hash_table.h); key insertion
+/// allocates nothing, so its NodeRun only counts claimed slots.
 class OpenHashTable {
  public:
   /// VisitHeader's result for a bucket with no published slots. Such a
@@ -87,22 +87,37 @@ class OpenHashTable {
   /// absent. Returns the global slot id (bucket * 8 + slot) or kNil when
   /// every bucket is full (the caller falls back to its overflow path).
   /// `*work` is incremented by the number of buckets probed (>= 1). Keys
-  /// live inline in the bucket arrays, so `dev`/`workgroup` (the chained
-  /// layout's node-allocator routing) are ignored.
-  int32_t FindOrAddKey(uint32_t home_bucket, int32_t key, simcl::DeviceId dev,
-                       uint32_t workgroup, uint32_t* work);
+  /// live inline in the bucket arrays, so `keys` only counts the claim.
+  int32_t FindOrAddKey(uint32_t home_bucket, int32_t key, NodeRun& keys,
+                       uint32_t* work);
 
   /// Wide-key b3: like FindOrAddKey but matching both canonical key words
   /// (lo first — the 64-bit-hash word for dict-strings — then hi, the
   /// dictionary code). Requires construction with wide_keys = true.
   int32_t FindOrAddKeyWide(uint32_t home_bucket, int32_t key_lo,
-                           int32_t key_hi, simcl::DeviceId dev,
-                           uint32_t workgroup, uint32_t* work);
+                           int32_t key_hi, NodeRun& keys, uint32_t* work);
 
-  /// Step b4: insert `rid` into the slot's rid list. Returns false if the
-  /// rid arena is exhausted.
+  /// Step b4: insert `rid` into the slot's rid list, allocating through
+  /// `rids`. Returns false if the rid arena is exhausted.
+  bool InsertRid(int32_t slot, int32_t rid, NodeRun& rids);
+
+  // One-call forms of the three above (see HashTable).
+  int32_t FindOrAddKey(uint32_t home_bucket, int32_t key, simcl::DeviceId dev,
+                       uint32_t workgroup, uint32_t* work) {
+    NodeRun keys(pools_->key_allocator(), dev, workgroup);
+    return FindOrAddKey(home_bucket, key, keys, work);
+  }
+  int32_t FindOrAddKeyWide(uint32_t home_bucket, int32_t key_lo,
+                           int32_t key_hi, simcl::DeviceId dev,
+                           uint32_t workgroup, uint32_t* work) {
+    NodeRun keys(pools_->key_allocator(), dev, workgroup);
+    return FindOrAddKeyWide(home_bucket, key_lo, key_hi, keys, work);
+  }
   bool InsertRid(int32_t slot, int32_t rid, simcl::DeviceId dev,
-                 uint32_t workgroup);
+                 uint32_t workgroup) {
+    NodeRun rids(pools_->rid_allocator(), dev, workgroup);
+    return InsertRid(slot, rid, rids);
+  }
 
   /// Increments the home bucket's tuple count (done by the b4 step).
   void BumpCount(uint32_t bucket) {

@@ -118,24 +118,25 @@ void RadixPartitioner::BeginPass(int pass) {
     counts[static_cast<size_t>(p) * kWgSlots + WgOf(i)]++;
   }
   // Partition-major prefix sum: partition regions are contiguous, each
-  // ordered by claiming work group.
+  // ordered by claiming work group. The cursors themselves are stored
+  // workgroup-major (see cursor_).
   cursor_ = std::vector<std::atomic<uint32_t>>(
       static_cast<size_t>(kWgSlots) * nparts);
+  base_.assign(static_cast<size_t>(kWgSlots) * nparts, 0);
   std::vector<uint32_t> part_base(nparts + 1, 0);
   uint32_t running = 0;
   for (uint32_t p = 0; p < nparts; ++p) {
     part_base[p] = running;
     for (uint32_t w = 0; w < kWgSlots; ++w) {
+      const size_t slot = static_cast<size_t>(w) * nparts + p;
+      base_[slot] = running;
       // relaxed: histogram phase ended at a span barrier; these stores
       // are published to scatter workers by the next span launch.
-      cursor_[static_cast<size_t>(p) * kWgSlots + w].store(
-          running, std::memory_order_relaxed);
+      cursor_[slot].store(running, std::memory_order_relaxed);
       running += counts[static_cast<size_t>(p) * kWgSlots + w];
     }
   }
   part_base[nparts] = running;
-  claims_ = std::vector<std::atomic<uint32_t>>(
-      static_cast<size_t>(kWgSlots) * nparts);
   live_ = running;  // survivors (= n when unfiltered)
 
   if (pass + 1 == plan_.passes) {
@@ -195,17 +196,17 @@ std::vector<StepDef> RadixPartitioner::PassSteps(int pass) {
   n2.profile = PartitionHeaderProfile(static_cast<double>(nparts) * 8.0);
   n2.items = n;
   const uint32_t dist = opts_.prefetch_dist;
-  n2.run = [this, dist, filter, pid, dest](const Morsel& m, DeviceId dev,
-                                           uint32_t* lw) -> uint64_t {
-    const int di = static_cast<int>(dev);
+  n2.run = [this, dist, filter, pid, dest, nparts](
+               const Morsel& m, DeviceId dev, uint32_t* lw) -> uint64_t {
+    alloc::RunTally tally;
     uint64_t total = 0;
     for (uint64_t i = m.begin; i < m.end; ++i) {
       if (dist != 0 && i + dist < m.end) {
         // pid is fully populated by n1, so the upcoming cursor line is
         // known `dist` items ahead of its fetch_add.
         __builtin_prefetch(
-            &cursor_[static_cast<size_t>(pid[i + dist]) * kWgSlots +
-                     WgOf(i + dist)],
+            &cursor_[static_cast<size_t>(WgOf(i + dist)) * nparts +
+                     pid[i + dist]],
             1, 1);
       }
       if (filter != nullptr && filter[i] == 0) {
@@ -213,23 +214,23 @@ std::vector<StepDef> RadixPartitioner::PassSteps(int pass) {
         total += RecordWork(lw, m, i, 0);
         continue;
       }
-      const size_t slot = static_cast<size_t>(pid[i]) * kWgSlots + WgOf(i);
+      const size_t slot = static_cast<size_t>(WgOf(i)) * nparts + pid[i];
       // relaxed: claimed offsets only need to be unique (RMW atomicity);
       // the scattered payload is published by the span barrier.
-      dest[i] = cursor_[slot].fetch_add(1, std::memory_order_relaxed);
+      const uint32_t d = cursor_[slot].fetch_add(1, std::memory_order_relaxed);
+      dest[i] = d;
       // Block-allocation discipline: one global atomic per chunk of claims
-      // from this (work group, partition) sub-region, local bumps otherwise.
-      counts_.requests[di].fetch_add(1, std::memory_order_relaxed);
-      if (claims_[slot].fetch_add(1, std::memory_order_relaxed) %
-              chunk_elems_ ==
-          0) {
-        counts_.global_atomics[di].fetch_add(1, std::memory_order_relaxed);
+      // from this (work group, partition) sub-region — the claim whose
+      // index within it, d - base, starts a chunk — local bumps otherwise.
+      ++tally.requests;
+      if ((d - base_[slot]) % chunk_elems_ == 0) {
+        ++tally.global_atomics;
       } else {
-        // relaxed (both arms): statistics counters.
-        counts_.local_atomics[di].fetch_add(1, std::memory_order_relaxed);
+        ++tally.local_atomics;
       }
       total += RecordWork(lw, m, i, 1);
     }
+    counts_.Add(static_cast<int>(dev), tally);
     return total;
   };
   steps.push_back(std::move(n2));

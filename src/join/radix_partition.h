@@ -11,7 +11,9 @@
 // claimed per (work group, partition) sub-region; a claim charges a global
 // atomic once per allocator block (block_bytes) and a local-memory atomic
 // otherwise — the same block-allocation discipline as Section 3.3, which is
-// what Figure 11's block-size sweep exercises in the partition phase.
+// what Figure 11's block-size sweep exercises in the partition phase. The
+// charge is derived from the claimed slot itself (its index within the
+// sub-region) and tallied once per morsel.
 
 #ifndef APUJOIN_JOIN_RADIX_PARTITION_H_
 #define APUJOIN_JOIN_RADIX_PARTITION_H_
@@ -105,11 +107,13 @@ class RadixPartitioner {
 
   std::vector<uint32_t> pid_;   // per-item partition id (current pass)
   std::vector<uint32_t> dest_;  // per-item destination slot
-  // Per (wg, partition) cursors and claim counters for the current pass.
-  // Atomic: work groups sharing a slot may claim concurrently under the
-  // thread-pool backend.
+  // Per (wg, partition) sub-region cursors of the current pass, and each
+  // sub-region's first slot (a claim's index within it is dest - base).
+  // Workgroup-major ([w * nparts + p]): a morsel's claims stay on its own
+  // work group's lines. Atomic: work groups sharing a slot may claim
+  // concurrently under the thread-pool backend.
   std::vector<std::atomic<uint32_t>> cursor_;
-  std::vector<std::atomic<uint32_t>> claims_;
+  std::vector<uint32_t> base_;
   std::vector<uint32_t> offsets_;
   alloc::AtomicAllocCounts counts_;
 };

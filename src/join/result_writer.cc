@@ -1,53 +1,25 @@
 #include "join/result_writer.h"
 
-#include "alloc/basic_allocator.h"
-#include "alloc/block_allocator.h"
-
 namespace apujoin::join {
 
 ResultWriter::ResultWriter(uint64_t capacity, alloc::AllocatorKind kind,
                            uint32_t block_bytes)
     : arena_(capacity, /*elem_bytes=*/8),
+      alloc_(alloc::MakeAllocator(&arena_, kind, block_bytes)),
       build_rids_(capacity, -1),
-      probe_rids_(capacity, -1) {
-  if (kind == alloc::AllocatorKind::kBasic) {
-    alloc_ = std::make_unique<alloc::BasicAllocator>(&arena_);
-  } else {
-    alloc_ = std::make_unique<alloc::BlockAllocator>(&arena_, block_bytes);
-  }
-}
+      probe_rids_(capacity, -1) {}
 
-bool ResultWriter::Emit(int32_t build_rid, int32_t probe_rid,
-                        simcl::DeviceId dev, uint32_t workgroup) {
-  const int64_t idx = alloc_->Allocate(1, dev, workgroup);
-  if (idx < 0) {
-    // relaxed: statistics counter.
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+ResultWriter::Run::~Run() {
+  const alloc::RunTally& t = slots_.tally();
+  // relaxed (both): statistics counters — readers of the pairs themselves
+  // synchronise through the span barrier, not through these.
+  if (t.requests != t.failed) {
+    out_->emitted_.fetch_add(t.requests - t.failed, std::memory_order_relaxed);
   }
-  build_rids_[idx] = build_rid;
-  probe_rids_[idx] = probe_rid;
-  // relaxed: statistics counter — readers of the pairs themselves
-  // synchronise through the span barrier, not through emitted_.
-  emitted_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool ResultWriter::Emit(int32_t key, int32_t build_rid, int32_t probe_rid,
-                        simcl::DeviceId dev, uint32_t workgroup) {
-  const int64_t idx = alloc_->Allocate(1, dev, workgroup);
-  if (idx < 0) {
-    // relaxed: statistics counter.
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+  if (t.failed != 0) {
+    out_->dropped_.fetch_add(t.failed, std::memory_order_relaxed);
   }
-  keys_[idx] = key;
-  build_rids_[idx] = build_rid;
-  probe_rids_[idx] = probe_rid;
-  // relaxed: statistics counter — readers of the pairs themselves
-  // synchronise through the span barrier, not through emitted_.
-  emitted_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  // slots_ flushes the allocator tallies as it is destroyed.
 }
 
 void ResultWriter::CaptureKeys() { keys_.assign(arena_.capacity(), 0); }

@@ -23,16 +23,60 @@ class ResultWriter {
   ResultWriter(uint64_t capacity, alloc::AllocatorKind kind,
                uint32_t block_bytes);
 
-  /// Appends one result pair; false when the buffer is exhausted (the
-  /// failed emit is counted in dropped()).
+  /// p4's morsel-private output run: the emits of one (morsel, device),
+  /// moved across work groups with SetWorkgroup. Slots come from one
+  /// AllocRun, so an emit is a local-pointer bump plus the pair stores;
+  /// count() and dropped() are derived from the run's tallies (requests
+  /// minus failed, and failed) and flushed once when the run closes.
+  class Run {
+   public:
+    Run(ResultWriter* out, simcl::DeviceId dev, uint32_t workgroup = 0)
+        : out_(out), slots_(out->alloc_.get(), dev, workgroup) {}
+    Run(const Run&) = delete;
+    Run& operator=(const Run&) = delete;
+    /// Flushes the run's emitted/dropped counts and allocator tallies.
+    ~Run();
+
+    void SetWorkgroup(uint32_t workgroup) { slots_.SetWorkgroup(workgroup); }
+
+    /// Appends one result pair; false when the buffer is exhausted.
+    bool Emit(int32_t build_rid, int32_t probe_rid) {
+      const int64_t idx = slots_.Allocate();
+      if (idx < 0) return false;
+      out_->build_rids_[idx] = build_rid;
+      out_->probe_rids_[idx] = probe_rid;
+      return true;
+    }
+
+    /// Keyed append (see ResultWriter::Emit).
+    bool Emit(int32_t key, int32_t build_rid, int32_t probe_rid) {
+      const int64_t idx = slots_.Allocate();
+      if (idx < 0) return false;
+      out_->keys_[idx] = key;
+      out_->build_rids_[idx] = build_rid;
+      out_->probe_rids_[idx] = probe_rid;
+      return true;
+    }
+
+   private:
+    ResultWriter* out_;
+    alloc::AllocRun slots_;
+  };
+
+  /// Appends one result pair (a one-emit run); false when the buffer is
+  /// exhausted (the failed emit is counted in dropped()).
   bool Emit(int32_t build_rid, int32_t probe_rid, simcl::DeviceId dev,
-            uint32_t workgroup);
+            uint32_t workgroup) {
+    return Run(this, dev, workgroup).Emit(build_rid, probe_rid);
+  }
 
   /// Keyed append: also stores the join key alongside the pair, for
   /// downstream operators (group-by) that aggregate the join output.
   /// Only valid after CaptureKeys().
   bool Emit(int32_t key, int32_t build_rid, int32_t probe_rid,
-            simcl::DeviceId dev, uint32_t workgroup);
+            simcl::DeviceId dev, uint32_t workgroup) {
+    return Run(this, dev, workgroup).Emit(key, build_rid, probe_rid);
+  }
 
   /// Allocates the key column so keyed Emit calls may store the join key.
   /// Must be called before the first Emit (typically right after

@@ -44,6 +44,18 @@ Rules (over src/ unless stated otherwise):
                   scalability bug (heap lock under the morsel loop) and a
                   modelling bug (unpriced work). Writers go through
                   pre-sized buffers and the alloc/ subsystem instead.
+  kernel-no-stat-rmw
+                  no atomic read-modify-write on a statistics member
+                  (counts_, emitted_, dropped_, claims_, *_inserted_)
+                  inside MorselKernel bodies or the per-item allocate /
+                  insert / emit functions (Allocate, Refill, Emit,
+                  FindOrAddKey[Wide], InsertRid). Every call of those runs
+                  once per item or per result pair; a shared-line counter
+                  RMW there is exactly the cross-core contention that made
+                  the threads backend anti-scale. Tally in the run
+                  (alloc::AllocRun, join::NodeRun, ResultWriter::Run, a
+                  kernel-local RunTally) and flush once when it closes —
+                  the flush functions are the only allowed sites.
   kernel-no-schema-branch
                   MorselKernel bodies must not branch on the key schema at
                   runtime: no `if`/`switch` whose condition names KeySchema
@@ -278,6 +290,56 @@ def check_kernel_no_alloc(path, lines, errors):
                     f"through alloc/")
 
 
+STAT_MEMBER = r"\b(?:counts_|emitted_|dropped_|claims_|\w+_inserted_)"
+STAT_RMW_RE = re.compile(
+    STAT_MEMBER + r"(?:\.\w+|\[[^\]]*\])*\s*(?:"
+    r"\.(?:fetch_\w+|exchange|compare_exchange_\w+)\s*\(|"
+    r"\+\+|--|[-+|&^]=)|(?:\+\+|--)\s*" + STAT_MEMBER)
+PER_ITEM_FUNCS = ("Allocate", "Refill", "Emit", "FindOrAddKey",
+                  "FindOrAddKeyWide", "InsertRid")
+# A definition line: one or more type tokens, then the (optionally
+# qualified) function name — never a call through `.`/`->` or a `return`.
+PER_ITEM_DEF_RE = re.compile(
+    r"^\s*(?!return\b)(?:[\w:<>*&]+\s+)+(?:\w+::)*(?:" +
+    "|".join(PER_ITEM_FUNCS) + r")\s*\(")
+
+
+def opens_body(lines, i):
+    """True when the declaration starting at line i reaches '{' before ';'
+    (a definition, not a declaration)."""
+    for j in range(i, min(len(lines), i + 8)):
+        for ch in strip_strings(lines[j]).partition("//")[0]:
+            if ch == "{":
+                return True
+            if ch == ";":
+                return False
+    return False
+
+
+def check_kernel_no_stat_rmw(path, lines, errors):
+    for i, raw in enumerate(lines):
+        code = strip_strings(raw).partition("//")[0]
+        if KERNEL_LAMBDA_RE.search(code):
+            where = f"the MorselKernel body (`.run = [...]` lambda) opened " \
+                    f"at line {i + 1}"
+        elif PER_ITEM_DEF_RE.search(code) and opens_body(lines, i):
+            where = f"the per-item function defined at line {i + 1}"
+        else:
+            continue
+        span = body_span(lines, i)
+        if span is None:
+            continue
+        for j in range(span[0], span[1] + 1):
+            body = strip_strings(lines[j]).partition("//")[0]
+            m = STAT_RMW_RE.search(body)
+            if m:
+                errors.append(
+                    f"{rel(path)}:{j + 1}: atomic RMW on a statistics "
+                    f"member ('{m.group(0).strip()}') inside {where} — "
+                    f"tally in the run and flush once when it closes: "
+                    f"{lines[j].strip()}")
+
+
 STEPDEF_DIRS = ("src/join", "src/coproc", "src/plan")
 # Construction sites: a declaration (`StepDef x`, `std::vector<StepDef>`
 # with later emplace, `StepDef{...}`) — not mere references/parameters.
@@ -362,6 +424,7 @@ def main():
         check_no_assert(path, lines, errors)
         check_kernel_no_alloc(path, lines, errors)
         check_kernel_no_schema_branch(path, lines, errors)
+        check_kernel_no_stat_rmw(path, lines, errors)
         check_stepdef_outside_lowering(path, lines, errors)
         check_avx2_target(path, lines, errors)
     check_march_native(errors)
