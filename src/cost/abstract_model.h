@@ -18,6 +18,7 @@
 #ifndef APUJOIN_COST_ABSTRACT_MODEL_H_
 #define APUJOIN_COST_ABSTRACT_MODEL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -51,6 +52,29 @@ struct CommSpec {
   double bandwidth_gbps = 21.0;
   double per_transfer_latency_ns = 0.0;  ///< 0 on coupled; PCI-e latency else
 };
+
+/// Series totals of one composition (the SeriesEstimate scalars).
+struct SeriesTotals {
+  double cpu_ns = 0.0;
+  double gpu_ns = 0.0;
+  double elapsed_ns = 0.0;
+  double comm_ns = 0.0;
+};
+
+/// The Eqs. 1–5 composition over raw arrays of `steps` per-step device
+/// times and CPU ratios, with `items` input items per step. D^i goes to
+/// delay_cpu_ns / delay_gpu_ns when they are non-null (sized >= `steps`).
+/// The one implementation behind ComposePipelinedTiming, EstimateSeries
+/// and the ratio optimizers; it allocates nothing.
+SeriesTotals ComposeSteps(const double* t_cpu, const double* t_gpu,
+                          const double* ratios, size_t steps, double items,
+                          const CommSpec& comm, double* delay_cpu_ns = nullptr,
+                          double* delay_gpu_ns = nullptr);
+
+/// Eq. 3: the first `steps` per-step device times of `costs` under CPU
+/// ratios `ratios`, with `items` input items per step.
+void StepTimes(const StepCost* costs, const double* ratios, size_t steps,
+               double items, double* t_cpu, double* t_gpu);
 
 /// Evaluates the abstract model for a series of `costs.size()` steps with
 /// `n` input items per step and CPU ratios `ratios` (size must match).

@@ -7,10 +7,34 @@ namespace apujoin::cost {
 
 namespace {
 
-double Evaluate(const StepCosts& costs, uint64_t n,
-                const std::vector<double>& ratios, const CommSpec& comm) {
-  return EstimateSeries(costs, n, ratios, comm).elapsed_ns;
-}
+/// The model of one search's (costs, n, comm): evaluates ratio vectors
+/// with EstimateSeries's arithmetic (StepTimes + ComposeSteps) into
+/// per-search scratch, so a search allocates nothing per grid point.
+class SeriesModel {
+ public:
+  SeriesModel(const StepCosts& costs, uint64_t n, const CommSpec& comm)
+      : costs_(costs),
+        items_(static_cast<double>(n)),
+        comm_(comm),
+        t_cpu_(costs.size()),
+        t_gpu_(costs.size()) {}
+
+  /// EstimateSeries(costs, n, ratios, comm).elapsed_ns, bit for bit.
+  double Evaluate(const std::vector<double>& ratios) {
+    const size_t steps = std::min(costs_.size(), ratios.size());
+    StepTimes(costs_.data(), ratios.data(), steps, items_, t_cpu_.data(),
+              t_gpu_.data());
+    return ComposeSteps(t_cpu_.data(), t_gpu_.data(), ratios.data(), steps,
+                        items_, comm_)
+        .elapsed_ns;
+  }
+
+ private:
+  const StepCosts& costs_;
+  const double items_;
+  const CommSpec& comm_;
+  std::vector<double> t_cpu_, t_gpu_;
+};
 
 std::vector<double> RatioGrid(double delta) {
   std::vector<double> grid;
@@ -21,20 +45,20 @@ std::vector<double> RatioGrid(double delta) {
   return grid;
 }
 
-RatioPlan CoordinateDescent(const StepCosts& costs, uint64_t n,
-                            const CommSpec& comm, double delta,
+RatioPlan CoordinateDescent(SeriesModel& model, double delta,
                             std::vector<double> start) {
   const std::vector<double> grid = RatioGrid(delta);
-  RatioPlan best{start, Evaluate(costs, n, start, comm)};
+  RatioPlan best{start, model.Evaluate(start)};
+  std::vector<double> trial;
   bool improved = true;
   int rounds = 0;
   while (improved && rounds++ < 32) {
     improved = false;
     for (size_t i = 0; i < best.ratios.size(); ++i) {
-      std::vector<double> trial = best.ratios;
+      trial = best.ratios;
       for (double r : grid) {
         trial[i] = r;
-        const double t = Evaluate(costs, n, trial, comm);
+        const double t = model.Evaluate(trial);
         if (t < best.predicted_ns - 1e-9) {
           best.predicted_ns = t;
           best.ratios = trial;
@@ -50,12 +74,14 @@ RatioPlan CoordinateDescent(const StepCosts& costs, uint64_t n,
 
 RatioPlan OptimizeDataDividing(const StepCosts& costs, uint64_t n,
                                const CommSpec& comm, double delta) {
+  SeriesModel model(costs, n, comm);
   RatioPlan best;
   best.ratios.assign(costs.size(), 0.0);
-  best.predicted_ns = Evaluate(costs, n, best.ratios, comm);
+  best.predicted_ns = model.Evaluate(best.ratios);
+  std::vector<double> ratios;
   for (double r : RatioGrid(delta)) {
-    std::vector<double> ratios(costs.size(), r);
-    const double t = Evaluate(costs, n, ratios, comm);
+    ratios.assign(costs.size(), r);
+    const double t = model.Evaluate(ratios);
     if (t < best.predicted_ns) {
       best.predicted_ns = t;
       best.ratios = ratios;
@@ -69,15 +95,16 @@ RatioPlan OptimizeOffloading(const StepCosts& costs, uint64_t n,
   // 2^n assignments; series have <= 4 steps, so enumerate exactly as the
   // paper describes for the discrete architecture.
   const size_t steps = costs.size();
+  SeriesModel model(costs, n, comm);
   RatioPlan best;
   best.ratios.assign(steps, 0.0);
-  best.predicted_ns = Evaluate(costs, n, best.ratios, comm);
+  best.predicted_ns = model.Evaluate(best.ratios);
+  std::vector<double> ratios(steps, 0.0);
   for (uint32_t mask = 1; mask < (1u << steps); ++mask) {
-    std::vector<double> ratios(steps, 0.0);
     for (size_t i = 0; i < steps; ++i) {
       ratios[i] = (mask >> i) & 1u ? 1.0 : 0.0;
     }
-    const double t = Evaluate(costs, n, ratios, comm);
+    const double t = model.Evaluate(ratios);
     if (t < best.predicted_ns) {
       best.predicted_ns = t;
       best.ratios = ratios;
@@ -118,17 +145,18 @@ RatioPlan OptimizeSerial(const StepCosts& costs, uint64_t n,
 RatioPlan OptimizePipelined(const StepCosts& costs, uint64_t n,
                             const CommSpec& comm, double delta) {
   const size_t steps = costs.size();
+  SeriesModel model(costs, n, comm);
   if (steps <= 3) {
     const std::vector<double> grid = RatioGrid(delta);
     RatioPlan best;
     best.ratios.assign(steps, 0.0);
-    best.predicted_ns = Evaluate(costs, n, best.ratios, comm);
+    best.predicted_ns = model.Evaluate(best.ratios);
     std::vector<double> ratios(steps, 0.0);
     const size_t g = grid.size();
     std::vector<size_t> idx(steps, 0);
     while (true) {
       for (size_t i = 0; i < steps; ++i) ratios[i] = grid[idx[i]];
-      const double t = Evaluate(costs, n, ratios, comm);
+      const double t = model.Evaluate(ratios);
       if (t < best.predicted_ns) {
         best.predicted_ns = t;
         best.ratios = ratios;
@@ -140,14 +168,13 @@ RatioPlan OptimizePipelined(const StepCosts& costs, uint64_t n,
     return best;
   }
   // Longer series: coordinate descent from three seeds.
-  RatioPlan best = CoordinateDescent(costs, n, comm, delta,
-                                     OptimizeDataDividing(costs, n, comm,
-                                                          delta).ratios);
+  RatioPlan best = CoordinateDescent(
+      model, delta, OptimizeDataDividing(costs, n, comm, delta).ratios);
   const RatioPlan from_ol = CoordinateDescent(
-      costs, n, comm, delta, OptimizeOffloading(costs, n, comm).ratios);
+      model, delta, OptimizeOffloading(costs, n, comm).ratios);
   if (from_ol.predicted_ns < best.predicted_ns) best = from_ol;
   const RatioPlan from_mid = CoordinateDescent(
-      costs, n, comm, delta, std::vector<double>(costs.size(), 0.5));
+      model, delta, std::vector<double>(steps, 0.5));
   if (from_mid.predicted_ns < best.predicted_ns) best = from_mid;
   return best;
 }

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <random>
+
 #include "cost/abstract_model.h"
 #include "cost/calibration.h"
 #include "cost/optimizer.h"
@@ -165,6 +170,253 @@ TEST(CalibrateTest, HashStepGpuWinsBig) {
   const double p3_ratio = costs[2].cpu_ns_per_item / costs[2].gpu_ns_per_item;
   EXPECT_GT(p3_ratio, 1.0 / 3.0);
   EXPECT_LT(p3_ratio, 3.0);
+}
+
+// The vector-based model and ratio search as they were before the search
+// went allocation-free: every point is one EstimateSeries call over fresh
+// vectors. The equivalence test below pins the new search to it.
+namespace reference {
+
+SeriesEstimate Compose(const std::vector<double>& t_cpu,
+                       const std::vector<double>& t_gpu,
+                       const std::vector<double>& ratios, uint64_t n,
+                       const CommSpec& comm) {
+  const size_t steps = ratios.size();
+  const double items = static_cast<double>(n);
+  SeriesEstimate est;
+  est.delay_cpu_ns.assign(steps, 0.0);
+  est.delay_gpu_ns.assign(steps, 0.0);
+  double cum_cpu = 0.0;
+  double cum_gpu = 0.0;
+  for (size_t i = 0; i < steps; ++i) {
+    const double r = std::clamp(ratios[i], 0.0, 1.0);
+    if (i > 0) {
+      const double rp = std::clamp(ratios[i - 1], 0.0, 1.0);
+      if (r > rp && t_cpu[i] > 0.0) {
+        const double frac = (1.0 - rp) > 0.0 ? (1.0 - r) / (1.0 - rp) : 0.0;
+        const double gpu_pipelined = cum_gpu - t_gpu[i - 1] * frac;
+        const double d = gpu_pipelined - (cum_cpu + t_cpu[i]);
+        if (d > 0.0) est.delay_cpu_ns[i] = d;
+      } else if (r < rp && t_gpu[i] > 0.0) {
+        const double frac = (1.0 - r) > 0.0 ? (1.0 - rp) / (1.0 - r) : 0.0;
+        const double d = cum_cpu - (cum_gpu + t_gpu[i] - t_gpu[i] * frac);
+        if (d > 0.0) est.delay_gpu_ns[i] = d;
+      }
+      const double crossing = std::abs(r - rp) * items;
+      if (crossing > 0.0) {
+        est.comm_ns += comm.per_transfer_latency_ns +
+                       crossing * comm.bytes_per_item / comm.bandwidth_gbps;
+      }
+    }
+    cum_cpu += t_cpu[i] + est.delay_cpu_ns[i];
+    cum_gpu += t_gpu[i] + est.delay_gpu_ns[i];
+  }
+  est.cpu_ns = cum_cpu;
+  est.gpu_ns = cum_gpu;
+  est.elapsed_ns = std::max(cum_cpu, cum_gpu) + est.comm_ns;
+  return est;
+}
+
+SeriesEstimate Estimate(const StepCosts& costs, uint64_t n,
+                        const std::vector<double>& ratios,
+                        const CommSpec& comm) {
+  const double items = static_cast<double>(n);
+  std::vector<double> t_cpu(costs.size(), 0.0);
+  std::vector<double> t_gpu(costs.size(), 0.0);
+  for (size_t i = 0; i < costs.size(); ++i) {
+    const double r = std::clamp(ratios[i], 0.0, 1.0);
+    t_cpu[i] = costs[i].cpu_ns_per_item * r * items;
+    t_gpu[i] = costs[i].gpu_ns_per_item * (1.0 - r) * items;
+  }
+  return Compose(t_cpu, t_gpu, ratios, n, comm);
+}
+
+double Evaluate(const StepCosts& costs, uint64_t n,
+                const std::vector<double>& ratios, const CommSpec& comm) {
+  return Estimate(costs, n, ratios, comm).elapsed_ns;
+}
+
+std::vector<double> Grid(double delta) {
+  std::vector<double> grid;
+  for (double r = 0.0; r < 1.0 + 1e-9; r += delta) {
+    grid.push_back(std::min(r, 1.0));
+  }
+  if (grid.back() < 1.0) grid.push_back(1.0);
+  return grid;
+}
+
+RatioPlan DataDividing(const StepCosts& costs, uint64_t n,
+                       const CommSpec& comm, double delta) {
+  RatioPlan best;
+  best.ratios.assign(costs.size(), 0.0);
+  best.predicted_ns = Evaluate(costs, n, best.ratios, comm);
+  for (double r : Grid(delta)) {
+    std::vector<double> ratios(costs.size(), r);
+    const double t = Evaluate(costs, n, ratios, comm);
+    if (t < best.predicted_ns) {
+      best.predicted_ns = t;
+      best.ratios = ratios;
+    }
+  }
+  return best;
+}
+
+RatioPlan Offloading(const StepCosts& costs, uint64_t n,
+                     const CommSpec& comm) {
+  const size_t steps = costs.size();
+  RatioPlan best;
+  best.ratios.assign(steps, 0.0);
+  best.predicted_ns = Evaluate(costs, n, best.ratios, comm);
+  for (uint32_t mask = 1; mask < (1u << steps); ++mask) {
+    std::vector<double> ratios(steps, 0.0);
+    for (size_t i = 0; i < steps; ++i) {
+      ratios[i] = (mask >> i) & 1u ? 1.0 : 0.0;
+    }
+    const double t = Evaluate(costs, n, ratios, comm);
+    if (t < best.predicted_ns) {
+      best.predicted_ns = t;
+      best.ratios = ratios;
+    }
+  }
+  return best;
+}
+
+RatioPlan Descend(const StepCosts& costs, uint64_t n, const CommSpec& comm,
+                  double delta, std::vector<double> start) {
+  const std::vector<double> grid = Grid(delta);
+  RatioPlan best{start, Evaluate(costs, n, start, comm)};
+  bool improved = true;
+  int rounds = 0;
+  while (improved && rounds++ < 32) {
+    improved = false;
+    for (size_t i = 0; i < best.ratios.size(); ++i) {
+      std::vector<double> trial = best.ratios;
+      for (double r : grid) {
+        trial[i] = r;
+        const double t = Evaluate(costs, n, trial, comm);
+        if (t < best.predicted_ns - 1e-9) {
+          best.predicted_ns = t;
+          best.ratios = trial;
+          improved = true;
+        }
+      }
+    }
+  }
+  return best;
+}
+
+RatioPlan Pipelined(const StepCosts& costs, uint64_t n, const CommSpec& comm,
+                    double delta) {
+  const size_t steps = costs.size();
+  if (steps <= 3) {
+    const std::vector<double> grid = Grid(delta);
+    RatioPlan best;
+    best.ratios.assign(steps, 0.0);
+    best.predicted_ns = Evaluate(costs, n, best.ratios, comm);
+    std::vector<double> ratios(steps, 0.0);
+    const size_t g = grid.size();
+    std::vector<size_t> idx(steps, 0);
+    while (true) {
+      for (size_t i = 0; i < steps; ++i) ratios[i] = grid[idx[i]];
+      const double t = Evaluate(costs, n, ratios, comm);
+      if (t < best.predicted_ns) {
+        best.predicted_ns = t;
+        best.ratios = ratios;
+      }
+      size_t k = 0;
+      while (k < steps && ++idx[k] == g) idx[k++] = 0;
+      if (k == steps) break;
+    }
+    return best;
+  }
+  RatioPlan best = Descend(costs, n, comm, delta,
+                           DataDividing(costs, n, comm, delta).ratios);
+  const RatioPlan from_ol =
+      Descend(costs, n, comm, delta, Offloading(costs, n, comm).ratios);
+  if (from_ol.predicted_ns < best.predicted_ns) best = from_ol;
+  const RatioPlan from_mid = Descend(costs, n, comm, delta,
+                                     std::vector<double>(steps, 0.5));
+  if (from_mid.predicted_ns < best.predicted_ns) best = from_mid;
+  return best;
+}
+
+}  // namespace reference
+
+uint64_t Bits(double x) {
+  uint64_t b;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+void ExpectBitEqual(const RatioPlan& got, const RatioPlan& want,
+                    const std::string& what) {
+  EXPECT_EQ(Bits(got.predicted_ns), Bits(want.predicted_ns)) << what;
+  ASSERT_EQ(got.ratios.size(), want.ratios.size()) << what;
+  for (size_t i = 0; i < got.ratios.size(); ++i) {
+    EXPECT_EQ(Bits(got.ratios[i]), Bits(want.ratios[i]))
+        << what << " ratio " << i;
+  }
+}
+
+/// Seeded random series of 1–6 steps: unit costs in [0, 40) ns, a quarter
+/// of them exactly zero (zero-cost steps make whole planes of the grid tie,
+/// which exercises the first-strict-improvement tie-break).
+StepCosts RandomCosts(std::mt19937_64& rng, size_t steps) {
+  std::uniform_real_distribution<double> unit(0.0, 40.0);
+  std::bernoulli_distribution zero(0.25);
+  StepCosts costs;
+  for (size_t i = 0; i < steps; ++i) {
+    StepCost c;
+    c.name = "s" + std::to_string(i);
+    c.cpu_ns_per_item = zero(rng) ? 0.0 : unit(rng);
+    c.gpu_ns_per_item = zero(rng) ? 0.0 : unit(rng);
+    costs.push_back(c);
+  }
+  return costs;
+}
+
+TEST(RatioSearchTest, MatchesVectorBasedSearchBitForBit) {
+  std::mt19937_64 rng(20131026);
+  CommSpec pcie;
+  pcie.bandwidth_gbps = 6.0;
+  pcie.per_transfer_latency_ns = 15000.0;
+  const CommSpec comms[] = {CommSpec(), pcie};
+  std::uniform_int_distribution<uint64_t> items(1, 1u << 24);
+  std::uniform_real_distribution<double> ratio(-0.1, 1.1);  // clamped
+  for (size_t steps = 1; steps <= 6; ++steps) {
+    // Exhaustive searches (<= 3 steps) visit 51^steps points each.
+    const int searches = steps == 3 ? 4 : 8;
+    for (int s = 0; s < searches; ++s) {
+      const StepCosts costs = RandomCosts(rng, steps);
+      const uint64_t n = items(rng);
+      const CommSpec& comm = comms[s % 2];
+      const std::string what = std::to_string(steps) + " steps, search " +
+                               std::to_string(s);
+      ExpectBitEqual(OptimizePipelined(costs, n, comm),
+                     reference::Pipelined(costs, n, comm, kDefaultDelta),
+                     "PL " + what);
+      ExpectBitEqual(OptimizeDataDividing(costs, n, comm),
+                     reference::DataDividing(costs, n, comm, kDefaultDelta),
+                     "DD " + what);
+      ExpectBitEqual(OptimizeOffloading(costs, n, comm),
+                     reference::Offloading(costs, n, comm), "OL " + what);
+      // Point evaluations, including the per-step delays.
+      for (int k = 0; k < 16; ++k) {
+        std::vector<double> r(steps);
+        for (double& x : r) x = ratio(rng);
+        const SeriesEstimate got = EstimateSeries(costs, n, r, comm);
+        const SeriesEstimate want = reference::Estimate(costs, n, r, comm);
+        EXPECT_EQ(Bits(got.elapsed_ns), Bits(want.elapsed_ns)) << what;
+        EXPECT_EQ(Bits(got.cpu_ns), Bits(want.cpu_ns)) << what;
+        EXPECT_EQ(Bits(got.gpu_ns), Bits(want.gpu_ns)) << what;
+        EXPECT_EQ(Bits(got.comm_ns), Bits(want.comm_ns)) << what;
+        for (size_t i = 0; i < steps; ++i) {
+          EXPECT_EQ(Bits(got.delay_cpu_ns[i]), Bits(want.delay_cpu_ns[i]));
+          EXPECT_EQ(Bits(got.delay_gpu_ns[i]), Bits(want.delay_gpu_ns[i]));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
