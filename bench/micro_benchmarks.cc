@@ -357,6 +357,7 @@ void BM_ProbeAggregateFused(benchmark::State& state) {
   join::GroupByEngine agg(plan::AggFn::kSum);
   APU_CHECK_OK(agg.PrepareFused(n));
   for (auto _ : state) {
+    join::AggRun run(&agg);
     uint64_t work = 0;
     for (uint32_t i = 0; i < kFuseProbeBatch; ++i) {
       uint32_t w = 0;
@@ -364,8 +365,8 @@ void BM_ProbeAggregateFused(benchmark::State& state) {
           table.FindKey(table.BucketOf(batch.hash[i]), batch.keys[i], &w);
       if (node == join::kNil) continue;
       const int32_t key = batch.keys[i];
-      work += table.ForEachRid(node, [&agg, key, i](int32_t) {
-        agg.Accumulate(key, static_cast<int64_t>(i));
+      work += table.ForEachRid(node, [&run, key, i](int32_t) {
+        run.Fold(key, static_cast<int64_t>(i));
       });
     }
     benchmark::DoNotOptimize(work);
@@ -403,6 +404,7 @@ void BM_ProbeMaterializeThenAggregate(benchmark::State& state) {
       });
     }
     // g1: rescan the writer's slots and fold them into the aggregate table.
+    join::AggRun run(&agg);
     uint64_t work = 0;
     const uint64_t slots = writer.used_slots();
     const int32_t* keys = writer.key_data();
@@ -410,7 +412,7 @@ void BM_ProbeMaterializeThenAggregate(benchmark::State& state) {
     const int32_t* prids = writer.probe_rid_data();
     for (uint64_t j = 0; j < slots; ++j) {
       if (brids[j] < 0) continue;  // unclaimed block remainder
-      work += agg.Accumulate(keys[j], prids[j]);
+      work += run.Fold(keys[j], prids[j]);
     }
     benchmark::DoNotOptimize(work);
   }

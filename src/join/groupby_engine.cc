@@ -96,6 +96,7 @@ std::vector<StepDef> GroupByEngine::Steps() {
   g1.items = n;
   g1.run = [this, brids, prids, rkeys, dist, n](const Morsel& m, DeviceId,
                                                 uint32_t* lw) -> uint64_t {
+    AggRun run(this);
     uint64_t total = 0;
     for (uint64_t i = m.begin; i < m.end; ++i) {
       if (dist != 0 && i + dist < n && brids[i + dist] >= 0) {
@@ -106,7 +107,7 @@ std::vector<StepDef> GroupByEngine::Steps() {
       }
       uint32_t work = 1;
       if (brids[i] >= 0) {  // skip unclaimed block-remainder slots
-        work = Accumulate(rkeys[i], prids[i]);
+        work = run.Fold(rkeys[i], prids[i]);
       }
       total += RecordWork(lw, m, i, work);
     }

@@ -477,6 +477,7 @@ std::vector<StepDef> HashJoinEngineBase::ProbeSeries(const Tables& tables,
     p4g.run = [tables, agg, s_rids, s_keys, s_keynode, perm_vec](
                   const Morsel& m, simcl::DeviceId, uint32_t* lw) -> uint64_t {
       const uint32_t* perm = perm_vec->empty() ? nullptr : perm_vec->data();
+      AggRun run(agg);
       uint64_t total = 0;
       for (uint64_t i = m.begin; i < m.end; ++i) {
         const uint64_t j = perm != nullptr ? perm[i] : i;
@@ -485,10 +486,10 @@ std::vector<StepDef> HashJoinEngineBase::ProbeSeries(const Tables& tables,
           const int32_t srid = s_rids[j];
           const int32_t skey = s_keys[j];
           work += tables.Probe(j)->ForEachRid(
-              s_keynode[j], [agg, skey, srid](int32_t) {
-                // The match streams into the aggregate table; the <build
-                // rid, probe rid> pair is never materialized.
-                agg->Accumulate(skey, static_cast<int64_t>(srid));
+              s_keynode[j], [&run, skey, srid](int32_t) {
+                // The match streams into the morsel's aggregation run; the
+                // <build rid, probe rid> pair is never materialized.
+                run.Fold(skey, static_cast<int64_t>(srid));
               });
         }
         total += RecordWork(lw, m, i, work);

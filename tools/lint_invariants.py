@@ -45,17 +45,20 @@ Rules (over src/ unless stated otherwise):
                   modelling bug (unpriced work). Writers go through
                   pre-sized buffers and the alloc/ subsystem instead.
   kernel-no-stat-rmw
-                  no atomic read-modify-write on a statistics member
-                  (counts_, emitted_, dropped_, claims_, *_inserted_)
-                  inside MorselKernel bodies or the per-item allocate /
-                  insert / emit functions (Allocate, Refill, Emit,
-                  FindOrAddKey[Wide], InsertRid). Every call of those runs
-                  once per item or per result pair; a shared-line counter
-                  RMW there is exactly the cross-core contention that made
-                  the threads backend anti-scale. Tally in the run
-                  (alloc::AllocRun, join::NodeRun, ResultWriter::Run, a
-                  kernel-local RunTally) and flush once when it closes —
-                  the flush functions are the only allowed sites.
+                  no atomic read-modify-write on a statistics or aggregate
+                  member (counts_, values_, emitted_, dropped_, claims_,
+                  *_inserted_) inside MorselKernel bodies or the per-item
+                  allocate / insert / emit / fold functions (Allocate,
+                  Refill, Emit, FindOrAddKey[Wide], InsertRid, Fold). Every
+                  call of those runs once per item or per result pair; a
+                  shared-line counter RMW there is exactly the cross-core
+                  contention that made the threads backend anti-scale.
+                  Tally in the run (alloc::AllocRun, join::NodeRun,
+                  ResultWriter::Run, a kernel-local RunTally, join::AggRun's
+                  combiner) and flush once when it closes — the flush
+                  functions are the only allowed sites; for group-by that
+                  is GroupByEngine::Flush, called by AggRun on eviction and
+                  close.
   kernel-no-schema-branch
                   MorselKernel bodies must not branch on the key schema at
                   runtime: no `if`/`switch` whose condition names KeySchema
@@ -290,13 +293,13 @@ def check_kernel_no_alloc(path, lines, errors):
                     f"through alloc/")
 
 
-STAT_MEMBER = r"\b(?:counts_|emitted_|dropped_|claims_|\w+_inserted_)"
+STAT_MEMBER = r"\b(?:counts_|values_|emitted_|dropped_|claims_|\w+_inserted_)"
 STAT_RMW_RE = re.compile(
     STAT_MEMBER + r"(?:\.\w+|\[[^\]]*\])*\s*(?:"
     r"\.(?:fetch_\w+|exchange|compare_exchange_\w+)\s*\(|"
     r"\+\+|--|[-+|&^]=)|(?:\+\+|--)\s*" + STAT_MEMBER)
 PER_ITEM_FUNCS = ("Allocate", "Refill", "Emit", "FindOrAddKey",
-                  "FindOrAddKeyWide", "InsertRid")
+                  "FindOrAddKeyWide", "InsertRid", "Fold")
 # A definition line: one or more type tokens, then the (optionally
 # qualified) function name — never a call through `.`/`->` or a `return`.
 PER_ITEM_DEF_RE = re.compile(
