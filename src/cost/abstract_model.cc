@@ -4,14 +4,15 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 namespace apujoin::cost {
 
-SeriesTotals ComposeSteps(const double* t_cpu, const double* t_gpu,
-                          const double* ratios, size_t steps, double items,
-                          const CommSpec& comm, double* delay_cpu_ns,
-                          double* delay_gpu_ns) {
-  SeriesTotals est;
+SeriesEstimate ComposeSteps(const double* t_cpu, const double* t_gpu,
+                            const double* ratios, size_t steps, double items,
+                            const CommSpec& comm, double* delay_cpu_ns,
+                            double* delay_gpu_ns) {
+  SeriesEstimate est;
   // Cumulative sums include earlier delays: a stalled device starts its
   // later steps later (Eq. 2 folds D^i into T^i).
   double cum_cpu = 0.0;
@@ -77,19 +78,15 @@ SeriesEstimate ComposePipelinedTiming(const std::vector<double>& t_cpu,
                    t_cpu.size(), t_gpu.size(), ratios.size());
     }
   }
-  SeriesEstimate est;
   // Sized to the widest input so downstream per-step consumers indexing by
   // their own step count never read past the delay vectors.
-  est.delay_cpu_ns.assign(out_steps, 0.0);
-  est.delay_gpu_ns.assign(out_steps, 0.0);
-  const SeriesTotals t = ComposeSteps(
-      t_cpu.data(), t_gpu.data(), ratios.data(), steps,
-      static_cast<double>(n), comm, est.delay_cpu_ns.data(),
-      est.delay_gpu_ns.data());
-  est.cpu_ns = t.cpu_ns;
-  est.gpu_ns = t.gpu_ns;
-  est.elapsed_ns = t.elapsed_ns;
-  est.comm_ns = t.comm_ns;
+  std::vector<double> delay_cpu(out_steps, 0.0);
+  std::vector<double> delay_gpu(out_steps, 0.0);
+  SeriesEstimate est = ComposeSteps(t_cpu.data(), t_gpu.data(), ratios.data(),
+                                    steps, static_cast<double>(n), comm,
+                                    delay_cpu.data(), delay_gpu.data());
+  est.delay_cpu_ns = std::move(delay_cpu);
+  est.delay_gpu_ns = std::move(delay_gpu);
   return est;
 }
 

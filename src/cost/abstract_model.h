@@ -53,23 +53,17 @@ struct CommSpec {
   double per_transfer_latency_ns = 0.0;  ///< 0 on coupled; PCI-e latency else
 };
 
-/// Series totals of one composition (the SeriesEstimate scalars).
-struct SeriesTotals {
-  double cpu_ns = 0.0;
-  double gpu_ns = 0.0;
-  double elapsed_ns = 0.0;
-  double comm_ns = 0.0;
-};
-
 /// The Eqs. 1–5 composition over raw arrays of `steps` per-step device
-/// times and CPU ratios, with `items` input items per step. D^i goes to
-/// delay_cpu_ns / delay_gpu_ns when they are non-null (sized >= `steps`).
-/// The one implementation behind ComposePipelinedTiming, EstimateSeries
-/// and the ratio optimizers; it allocates nothing.
-SeriesTotals ComposeSteps(const double* t_cpu, const double* t_gpu,
-                          const double* ratios, size_t steps, double items,
-                          const CommSpec& comm, double* delay_cpu_ns = nullptr,
-                          double* delay_gpu_ns = nullptr);
+/// times and CPU ratios, with `items` input items per step. Returns the
+/// series scalars with empty delay vectors; D^i goes to delay_cpu_ns /
+/// delay_gpu_ns when they are non-null (sized >= `steps`). The one
+/// implementation behind ComposePipelinedTiming, EstimateSeries and the
+/// ratio optimizers; it allocates nothing.
+SeriesEstimate ComposeSteps(const double* t_cpu, const double* t_gpu,
+                            const double* ratios, size_t steps, double items,
+                            const CommSpec& comm,
+                            double* delay_cpu_ns = nullptr,
+                            double* delay_gpu_ns = nullptr);
 
 /// Eq. 3: the first `steps` per-step device times of `costs` under CPU
 /// ratios `ratios`, with `items` input items per step.
